@@ -10,7 +10,7 @@ test:
 # execution mode (eager, symbolic, template replay) plus the swap-execution
 # row and write BENCH_sweep.json (see docs/performance.md).
 bench:
-	$(PYTHON) tools/bench.py --grid full --modes eager,symbolic,replay,replay-batch,symbolic+swap
+	$(PYTHON) tools/bench.py --grid full --modes eager,symbolic,replay-batch,symbolic+swap
 
 # Fast eager-free benchmark with a wall-clock budget (the CI smoke job);
 # includes the batched template-replay and swap-execution throughput rows

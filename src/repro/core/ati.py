@@ -233,22 +233,32 @@ def intervals_by_category(intervals: Sequence[AccessInterval]) -> Dict[str, List
     return grouped
 
 
-def summarize_values_us(values: np.ndarray) -> AtiSummary:
-    """Distribution summary of raw ATI values in microseconds (one percentile pass)."""
+def summarize_rows_us(values: np.ndarray) -> List[AtiSummary]:
+    """Row-wise distribution summaries of ``(S, n)`` ATI values in microseconds.
+
+    One percentile pass over ``axis=1`` serves every row; the mean is taken
+    row by row, because an axis reduction blocks the sum differently from a
+    1-D ``mean`` and could differ from it in the last ulp.
+    """
     values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return AtiSummary(count=0, mean_us=0.0, p50_us=0.0, p90_us=0.0, p99_us=0.0,
-                          min_us=0.0, max_us=0.0)
-    p50, p90, p99 = np.percentile(values, (50, 90, 99))
-    return AtiSummary(
-        count=int(values.size),
-        mean_us=float(values.mean()),
-        p50_us=float(p50),
-        p90_us=float(p90),
-        p99_us=float(p99),
-        min_us=float(values.min()),
-        max_us=float(values.max()),
-    )
+    if values.shape[1] == 0:
+        return [AtiSummary(count=0, mean_us=0.0, p50_us=0.0, p90_us=0.0,
+                           p99_us=0.0, min_us=0.0, max_us=0.0)
+                for _ in range(values.shape[0])]
+    p50, p90, p99 = np.percentile(values, (50, 90, 99), axis=1)
+    mins = values.min(axis=1)
+    maxs = values.max(axis=1)
+    count = int(values.shape[1])
+    return [AtiSummary(count=count, mean_us=float(row.mean()),
+                       p50_us=float(p50[j]), p90_us=float(p90[j]),
+                       p99_us=float(p99[j]), min_us=float(mins[j]),
+                       max_us=float(maxs[j]))
+            for j, row in enumerate(values)]
+
+
+def summarize_values_us(values: np.ndarray) -> AtiSummary:
+    """Distribution summary of raw ATI values in microseconds (a batch of one)."""
+    return summarize_rows_us(np.asarray(values, dtype=np.float64)[None, :])[0]
 
 
 def summarize_intervals(intervals) -> AtiSummary:

@@ -73,17 +73,38 @@ def is_swappable(interval: AccessInterval, bandwidths: BandwidthConfig) -> bool:
     return interval.size <= max_swap_bytes(interval.interval_ns, bandwidths)
 
 
+def _fits_eq1(interval_ns: np.ndarray, size: np.ndarray,
+              round_trip_s_per_byte) -> np.ndarray:
+    """Eq. 1 elementwise: whether each block fits through its own interval."""
+    return size <= np.maximum(interval_ns, 0) / 1e9 / round_trip_s_per_byte
+
+
 def swappable_mask(arrays: IntervalArrays, bandwidths: BandwidthConfig) -> np.ndarray:
     """Vectorized Eq. 1 over an :class:`~repro.core.ati.IntervalArrays` column set."""
-    limits = np.maximum(arrays.interval_ns, 0) / 1e9 / bandwidths.round_trip_s_per_byte
-    return arrays.size <= limits
+    return _fits_eq1(arrays.interval_ns, arrays.size,
+                     bandwidths.round_trip_s_per_byte)
+
+
+def swappable_fractions(interval_ns: np.ndarray, size: np.ndarray,
+                        bandwidths: Sequence[BandwidthConfig]) -> np.ndarray:
+    """Row-wise Eq.-1 screening: ``(S, n)`` intervals in, ``S`` fractions out.
+
+    Row ``j`` prices the same ``n`` blocks (``size``) against its own
+    intervals and its own ``bandwidths[j]``; an empty interval set screens
+    to 0.0.
+    """
+    interval_ns = np.asarray(interval_ns)
+    if interval_ns.shape[1] == 0:
+        return np.zeros(interval_ns.shape[0])
+    round_trip = np.array([bw.round_trip_s_per_byte for bw in bandwidths])
+    return np.mean(_fits_eq1(interval_ns, size[None, :], round_trip[:, None]),
+                   axis=1)
 
 
 def swappable_fraction(arrays: IntervalArrays, bandwidths: BandwidthConfig) -> float:
-    """Fraction of ATIs whose block fits through Eq. 1 (0.0 for an empty set)."""
-    if len(arrays) == 0:
-        return 0.0
-    return float(np.mean(swappable_mask(arrays, bandwidths)))
+    """Fraction of ATIs whose block fits through Eq. 1 (a batch of one)."""
+    return float(swappable_fractions(arrays.interval_ns[None, :], arrays.size,
+                                     [bandwidths])[0])
 
 
 @dataclass

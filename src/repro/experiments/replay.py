@@ -1,6 +1,6 @@
 """Trace-template replay: compile one structure, re-price thousands of scenarios.
 
-Symbolic execution (PR 4) made a run's *event structure* — which blocks are
+Symbolic execution made a run's *event structure* — which blocks are
 allocated, accessed and freed, in which order, at which addresses — a pure
 function of the workload (model, batch size, allocator, replica count),
 while simulated *time* is that structure priced under the timing axes
@@ -16,14 +16,15 @@ This module splits the two:
   atoms behind every clock advance, the event→atom correspondence, block
   lifetimes, iteration spans, and the structural scalars (peaks, parameter
   bytes, allocator counters).
-* :meth:`TraceTemplate.replay` re-derives every timestamp for a *different*
-  pricing point as a handful of vectorized NumPy transforms — re-price the
-  atoms from the target device spec, resolve cross-rank collectives with
-  barrier semantics, gather event times by tape position — and reduces the
-  result to the exact :class:`~repro.experiments.sweep.ScenarioResult` a
-  fresh simulation would produce.  No kernels run, no allocator decisions
-  are replayed; ``tests/test_replay_equivalence.py`` pins bit-identical
-  equality against fresh symbolic runs.
+* :meth:`TraceTemplate.replay_batch` is the one replay path.  It re-prices
+  the atoms of S scenarios in one ``(S × atoms)`` int64 broadcast
+  (:func:`_clock_times`: roofline inputs, bandwidths and dispatch
+  overheads stacked one row per scenario, then a prefix sum along the
+  tape) and reduces each row to the exact
+  :class:`~repro.experiments.sweep.ScenarioResult` a fresh simulation would
+  produce.  No kernels run, no allocator decisions are replayed;
+  ``tests/test_replay_equivalence.py`` pins bit-identical equality against
+  fresh symbolic runs.  A lone scenario is a batch of one.
 * :class:`ReplayEngine` memoizes templates (in memory, and optionally as
   content-hashed ``.npz`` files next to the sweep cache) and prices
   scenarios on demand; :class:`~repro.experiments.sweep.SweepRunner` routes
@@ -32,22 +33,26 @@ This module splits the two:
   (different memory capacity that changed allocator behavior, inconsistent
   capture, swap engine on).
 
-Single-rank swap-off scenarios take an additional fast path: the ATI
-pairing, the occupation breakdown's cumulative sums and the live-bytes peak
-are *structural* for a single rank (their event order never depends on
-timestamps), so they are precomputed at compile time and a replay only
-recomputes the interval gaps, the distribution summary and Eq.-1 screening
-— microseconds instead of milliseconds per scenario.
+A row reaches its result in one of two ways inside ``replay_batch``:
 
-Three layers push whole grids through one template:
+* **Columnar** — single-rank rows with swap policy ``"none"``.  For one
+  rank the ATI pairing, the occupation breakdown's cumulative sums and the
+  live-bytes peak never depend on timestamps, so they are precomputed once
+  per template; the batch then only gathers ATI gaps, iteration spans and
+  the peak time from the clock matrix and runs the row-wise summaries
+  (:func:`~repro.core.ati.summarize_rows_us`,
+  :func:`~repro.core.swap.swappable_fractions`) over all rows at once.
+* **Traced** — multi-rank rows (collectives resolved with barrier
+  semantics by :meth:`TraceTemplate._resolve_times`, each rank priced as a
+  one-row batch) and rows whose swap policy evaluates the trace.  Their
+  session is rebuilt with replayed timestamps and reduced by
+  :func:`~repro.experiments.sweep.reduce_session`, the reduction fresh
+  simulation uses.
 
-* **Batched repricing** — :meth:`TraceTemplate.replay_batch` stacks the
-  pricing-axis parameters of S scenarios (roofline inputs, bandwidths,
-  dispatch overheads) into per-scenario rows and re-derives every duration,
-  timestamp, ATI gap and distribution summary for all of them in one
-  ``(S × atoms)`` int64 broadcast over the tape — the per-scenario loop
-  through ``_reprice_atoms``/``_resolve_times`` survives only as the
-  fallback for multi-rank or policy-carrying scenarios.
+Both ways end in :func:`~repro.experiments.sweep.build_result`, the one
+:class:`~repro.experiments.sweep.ScenarioResult` builder.  Two more layers
+push whole grids through one template:
+
 * **Dtype-generalized templates** — ``dtype`` is a *generalized* axis, not
   a structural one: one :class:`TemplateFamily` (one structural key) holds
   lazily-captured per-dtype :class:`TraceTemplate` variants, because AMP
@@ -65,17 +70,17 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.ati import (AtiSummary, IntervalArrays, compute_interval_arrays,
-                        summarize_values_us)
+from ..core.ati import compute_interval_arrays, summarize_rows_us
 from ..core.breakdown import occupation_breakdown
 from ..core.events import BlockLifetime, IterationMark, MemoryEventKind
-from ..core.swap import BandwidthConfig, swappable_fraction
+from ..core.swap import BandwidthConfig, swappable_fractions
 from ..core.trace import CATEGORY_FROM_CODE, KIND_CODES, EventColumns, MemoryTrace, merge_rank_traces
 from ..device.spec import get_device_spec
 from ..device.tape import (
@@ -145,8 +150,7 @@ def template_fingerprint(config: TrainingRunConfig) -> Dict[str, object]:
     Everything that shapes the event stream stays; the pricing axes
     (:data:`PRICING_FIELDS`) are dropped, the generalized axes
     (:data:`GENERALIZED_FIELDS` — served by per-value variants within one
-    :class:`TemplateFamily`) are dropped, and the legacy ``"virtual"``
-    execution mode is normalized to its synonym ``"symbolic"``.
+    :class:`TemplateFamily`) are dropped.
     """
     if config.swap != "off":
         raise TemplateError("swap-execution runs are not replayable",
@@ -155,8 +159,6 @@ def template_fingerprint(config: TrainingRunConfig) -> Dict[str, object]:
     for name in PRICING_FIELDS + GENERALIZED_FIELDS:
         structural.pop(name, None)
     structural.pop("host_latency", None)
-    if structural.get("execution_mode") == "virtual":
-        structural["execution_mode"] = "symbolic"
     return {"template_schema": TEMPLATE_SCHEMA_VERSION, "config": structural}
 
 
@@ -307,36 +309,21 @@ def _capture_rank(recorder, trace: MemoryTrace, tape: TimingTape) -> RankTemplat
         preamble_segments=-1,  # filled by the caller (needs the compile spec)
     )
 
-# -- the template ---------------------------------------------------------------------
+# -- pricing --------------------------------------------------------------------------
 
 
 @dataclass
-class _FastPath:
-    """Single-rank precomputations whose event order is timestamp-free."""
+class _AtomTable:
+    """One rank's tape sorted by atom kind, ready for ``(S × atoms)`` pricing.
 
-    ati: Optional[IntervalArrays]      # interval_ns holds compile-time gaps (unused)
-    ati_start_pos: np.ndarray          # positions into the event stream
-    ati_end_pos: np.ndarray
-    breakdown: object                  # OccupationBreakdown with peak_time_ns=0
-    peak_event_pos: int                # event position of the occupancy peak (-1: none)
-    peak_live_bytes: int
-    num_events: int
-    num_blocks: int
-
-
-@dataclass
-class _BatchArrays:
-    """Per-template gather tables for the batched ``(S × atoms)`` repricing.
-
-    Everything here is a pure function of the captured structure: per-kind
-    atom positions (so a batch prices each kind with one fancy-indexed
-    assignment instead of a boolean mask per scenario), the pre-scaled
-    roofline numerators, and the *tape* positions behind the ATI pairs,
-    iteration spans and occupancy peak (so timestamps are gathered straight
-    from the ``(S, atoms+1)`` prefix-sum matrix, never materializing the
-    per-scenario event timestamp vector).
+    Per-kind atom positions let a batch price each kind with one
+    fancy-indexed assignment instead of a boolean mask per scenario; the
+    roofline numerators are pre-scaled by ``1e9``, the order in which
+    :class:`~repro.device.timing.KernelTimingModel` evaluates them.
     """
 
+    n_atoms: int
+    preamble_segments: int
     const_idx: np.ndarray
     const_dur: np.ndarray
     kernel_idx: np.ndarray
@@ -352,15 +339,125 @@ class _BatchArrays:
     d2h_nz: np.ndarray
     alloc_idx: np.ndarray
     segment_idx: np.ndarray
+
+    @classmethod
+    def of(cls, rank: RankTemplate) -> "_AtomTable":
+        """Build the table for one captured rank."""
+        table = atom_index_table(rank.tape_kind)
+        empty = np.empty(0, dtype=np.int64)
+        const_idx = table.get(TAPE_CONST, empty)
+        kernel_idx = table.get(TAPE_KERNEL, empty)
+        h2d_idx = table.get(TAPE_MEMCPY_H2D, empty)
+        d2h_idx = table.get(TAPE_MEMCPY_D2H, empty)
+        kernel_flops = rank.tape_flops[kernel_idx]
+        kernel_moved = rank.tape_bytes_moved[kernel_idx]
+        h2d_bytes = rank.tape_nbytes[h2d_idx]
+        d2h_bytes = rank.tape_nbytes[d2h_idx]
+        return cls(
+            n_atoms=int(rank.tape_kind.size),
+            preamble_segments=int(rank.preamble_segments),
+            const_idx=const_idx,
+            const_dur=rank.tape_duration_ns[const_idx],
+            kernel_idx=kernel_idx,
+            kernel_flops9=1e9 * kernel_flops,
+            kernel_flops_nz=kernel_flops != 0.0,
+            kernel_moved9=1e9 * kernel_moved,
+            kernel_moved_nz=kernel_moved != 0.0,
+            h2d_idx=h2d_idx,
+            h2d_bytes9=1e9 * h2d_bytes,
+            h2d_nz=h2d_bytes != 0,
+            d2h_idx=d2h_idx,
+            d2h_bytes9=1e9 * d2h_bytes,
+            d2h_nz=d2h_bytes != 0,
+            alloc_idx=table.get(TAPE_ALLOC_OVERHEAD, empty),
+            segment_idx=table.get(TAPE_SEGMENT_OVERHEAD, empty),
+        )
+
+
+def _clock_times(atoms: _AtomTable,
+                 pricing: Sequence[Tuple[object, int]]) -> np.ndarray:
+    """Clock time around every atom under each pricing row: ``(S, atoms + 1)``.
+
+    ``pricing`` holds one ``(device spec, host dispatch ns)`` pair per row.
+    Entry ``[s, i]`` is row ``s``'s clock right after atom ``i - 1`` (entry
+    0 is the post-preamble start time), so an event at tape position ``p``
+    happened at ``[s, p]``.  Sync atoms price to zero here; multi-rank
+    callers resolve them with barrier semantics.  The float expressions are
+    :class:`~repro.device.timing.KernelTimingModel`'s, and ``np.rint``
+    matches Python's banker's ``round`` on them, so every row is
+    bit-identical to the clock of a fresh simulation.
+    """
+    specs = [spec for spec, _ in pricing]
+
+    def column(values, dtype=np.float64):
+        return np.array(list(values), dtype=dtype)[:, None]
+
+    n_rows = len(specs)
+    durations = np.zeros((n_rows, atoms.n_atoms), dtype=np.int64)
+    if atoms.const_idx.size:
+        durations[:, atoms.const_idx] = atoms.const_dur[None, :]
+    if atoms.kernel_idx.size:
+        eff_flops = column(spec.peak_flops * 0.65 for spec in specs)
+        eff_bw = column(spec.memory_bandwidth * 0.75 for spec in specs)
+        compute_ns = np.where(atoms.kernel_flops_nz[None, :],
+                              atoms.kernel_flops9[None, :] / eff_flops, 0.0)
+        memory_ns = np.where(atoms.kernel_moved_nz[None, :],
+                             atoms.kernel_moved9[None, :] / eff_bw, 0.0)
+        busy = np.maximum(compute_ns, memory_ns)
+        launch = column((spec.kernel_launch_overhead_ns for spec in specs),
+                        np.int64)
+        dispatch = column((ns for _, ns in pricing), np.int64)
+        durations[:, atoms.kernel_idx] = (
+            np.rint(launch + busy).astype(np.int64) + dispatch)
+    memcpy_launch = column((spec.memcpy_launch_overhead_ns for spec in specs),
+                           np.int64)
+    for idx, nonzero, bytes9, bandwidth in (
+            (atoms.h2d_idx, atoms.h2d_nz, atoms.h2d_bytes9,
+             column(spec.h2d_bandwidth for spec in specs)),
+            (atoms.d2h_idx, atoms.d2h_nz, atoms.d2h_bytes9,
+             column(spec.d2h_bandwidth for spec in specs))):
+        if idx.size:
+            transfer = np.where(nonzero[None, :], bytes9[None, :] / bandwidth,
+                                0.0)
+            durations[:, idx] = np.rint(memcpy_launch + transfer).astype(np.int64)
+    segment_overhead = column((spec.cuda_malloc_overhead_ns for spec in specs),
+                              np.int64)
+    if atoms.alloc_idx.size:
+        durations[:, atoms.alloc_idx] = column(
+            (spec.allocator_overhead_ns for spec in specs), np.int64)
+    if atoms.segment_idx.size:
+        durations[:, atoms.segment_idx] = segment_overhead
+
+    offsets = atoms.preamble_segments * segment_overhead
+    times = np.empty((n_rows, atoms.n_atoms + 1), dtype=np.int64)
+    times[:, :1] = offsets
+    np.cumsum(durations, axis=1, out=times[:, 1:])
+    times[:, 1:] += offsets
+    return times
+
+
+# -- the template ---------------------------------------------------------------------
+
+
+@dataclass
+class _Columnar:
+    """Timestamp-free reductions of a single-rank structure.
+
+    For one rank the ATI pairing, the occupation breakdown's cumulative sums
+    and the live-bytes peak never depend on timestamps, so they are computed
+    once from the structure.  Pricing a row then only gathers clock times at
+    the *tape* positions kept here, straight from the ``(S, atoms + 1)``
+    matrix of :func:`_clock_times`, never building a per-scenario trace.
+    """
+
     ati_start_tape: np.ndarray     # tape positions of each ATI pair's endpoints
     ati_end_tape: np.ndarray
     ati_size: np.ndarray           # block bytes behind each ATI pair (Eq. 1)
     span_begin: np.ndarray         # iteration spans as tape positions
     span_end: np.ndarray
     peak_tape_pos: int             # tape position of the occupancy peak (-1: none)
-    breakdown_base: Dict[str, object]
-    stats_base: Dict[str, int]
-    mean_utilization: float
+    breakdown: Dict[str, object]   # OccupationBreakdown.to_dict(), peak_time_ns=0
+    structure: Dict[str, object]   # ScenarioResult structural scalars
 
 
 class TraceTemplate:
@@ -382,13 +479,18 @@ class TraceTemplate:
             raise TemplateError("a template needs at least one rank",
                                 reason="capture_inconsistent")
         self._validate_syncs()
-        self.fast = self._precompute_fast() if len(self.ranks) == 1 else None
-        self._batch: Optional[_BatchArrays] = None  # built on first replay_batch
+        #: ``None`` when rows of this structure need a rebuilt trace.
+        self.columnar = self._precompute_columnar()
 
     @property
     def dtype(self) -> str:
         """Training precision this variant was captured under."""
         return str(self.meta.get("dtype", "float32"))
+
+    @cached_property
+    def _atoms(self) -> List[_AtomTable]:
+        """Per-rank atom tables (built on first pricing)."""
+        return [_AtomTable.of(rank) for rank in self.ranks]
 
     # -- validation -------------------------------------------------------------------
 
@@ -458,75 +560,56 @@ class TraceTemplate:
         return MemoryTrace(columns=columns, event_tags=list(rank.event_tags),
                            event_ops=list(rank.event_ops))
 
-    def _precompute_fast(self) -> Optional[_FastPath]:
-        trace = self._structural_trace()
-        if trace.is_empty:
+    def _precompute_columnar(self) -> Optional[_Columnar]:
+        """The columnar reductions, or ``None`` when rows need a trace.
+
+        Multi-rank rows must resolve their collectives, and an empty trace
+        or one without a reserved peak (its utilization then comes from the
+        trace's fragmentation analysis) cannot be reduced without a trace.
+        """
+        if len(self.ranks) != 1 or self.sync_kinds.size:
             return None
+        stats = {k: int(v) for k, v in self.meta["allocator_stats"].items()}
+        peak_reserved = int(stats.get("peak_reserved_bytes",
+                                      self.meta["peak_reserved_bytes"]))
+        peak_allocated = int(stats.get("peak_allocated_bytes",
+                                       self.meta["peak_allocated_bytes"]))
+        trace = self._structural_trace()
+        if trace.is_empty or peak_reserved <= 0:
+            return None
+        rank = self.ranks[0]
         cols = trace.columns()
         arrays = compute_interval_arrays(trace)
-        breakdown = occupation_breakdown(trace, label="")
         mask = cols.is_malloc | cols.is_free
         positions = np.flatnonzero(mask)
         if positions.size:
             live = np.cumsum(cols.live_deltas()[mask])
-            peak_event_pos = int(positions[int(np.argmax(live))])
+            peak_tape_pos = int(rank.event_tape_pos[positions[int(np.argmax(live))]])
             peak_live = int(max(0, live.max()))
         else:
-            peak_event_pos, peak_live = -1, 0
-        return _FastPath(
-            ati=arrays,
-            ati_start_pos=arrays.start_index,
-            ati_end_pos=arrays.end_index,
-            breakdown=breakdown,
-            peak_event_pos=peak_event_pos,
-            peak_live_bytes=peak_live,
-            num_events=len(trace),
-            num_blocks=len(trace.block_ids()),
+            peak_tape_pos, peak_live = -1, 0
+        return _Columnar(
+            ati_start_tape=rank.event_tape_pos[arrays.start_index],
+            ati_end_tape=rank.event_tape_pos[arrays.end_index],
+            ati_size=arrays.size,
+            span_begin=rank.mark_spans[:, 0],
+            span_end=rank.mark_spans[:, 1],
+            peak_tape_pos=peak_tape_pos,
+            breakdown=occupation_breakdown(trace, label="").to_dict(),
+            structure={
+                "peak_allocated_bytes": int(self.meta["peak_allocated_bytes"]),
+                "peak_reserved_bytes": int(self.meta["peak_reserved_bytes"]),
+                "peak_live_bytes": peak_live,
+                "parameter_bytes": int(self.meta["parameter_bytes"]),
+                "parameter_count": int(self.meta["parameter_count"]),
+                "num_events": len(trace),
+                "num_blocks": len(trace.block_ids()),
+                "allocator_stats": stats,
+                "mean_utilization": float(peak_allocated / peak_reserved),
+            },
         )
 
     # -- re-pricing -------------------------------------------------------------------
-
-    def _reprice_atoms(self, rank: RankTemplate, spec,
-                       host_dispatch_ns: int) -> np.ndarray:
-        """Vectorized duration of every tape atom under ``spec`` (syncs zeroed).
-
-        Reproduces :class:`~repro.device.timing.KernelTimingModel` exactly:
-        ``np.rint`` matches Python's banker's ``round`` on the same float
-        expressions, so re-priced durations are bit-identical to what a
-        fresh simulation advances the clock by.
-        """
-        kind = rank.tape_kind
-        out = np.zeros(kind.size, dtype=np.int64)
-
-        const_mask = kind == TAPE_CONST
-        out[const_mask] = rank.tape_duration_ns[const_mask]
-
-        kernel_mask = kind == TAPE_KERNEL
-        if kernel_mask.any():
-            flops = rank.tape_flops[kernel_mask]
-            moved = rank.tape_bytes_moved[kernel_mask]
-            effective_flops = spec.peak_flops * 0.65
-            effective_bw = spec.memory_bandwidth * 0.75
-            compute_ns = np.where(flops != 0.0, 1e9 * flops / effective_flops, 0.0)
-            memory_ns = np.where(moved != 0.0, 1e9 * moved / effective_bw, 0.0)
-            busy = np.maximum(compute_ns, memory_ns)
-            out[kernel_mask] = (
-                np.rint(spec.kernel_launch_overhead_ns + busy).astype(np.int64)
-                + host_dispatch_ns)
-
-        for mask_kind, bandwidth in ((TAPE_MEMCPY_H2D, spec.h2d_bandwidth),
-                                     (TAPE_MEMCPY_D2H, spec.d2h_bandwidth)):
-            copy_mask = kind == mask_kind
-            if copy_mask.any():
-                nbytes = rank.tape_nbytes[copy_mask]
-                transfer = np.where(nbytes != 0, 1e9 * nbytes / bandwidth, 0.0)
-                out[copy_mask] = np.rint(
-                    spec.memcpy_launch_overhead_ns + transfer).astype(np.int64)
-
-        out[kind == TAPE_ALLOC_OVERHEAD] = spec.allocator_overhead_ns
-        out[kind == TAPE_SEGMENT_OVERHEAD] = spec.cuda_malloc_overhead_ns
-        # sync atoms stay 0; they are resolved with barrier semantics below
-        return out
 
     def _resolve_times(self, spec, host_dispatch_ns: int,
                        cluster) -> Tuple[List[np.ndarray], List[int]]:
@@ -535,24 +618,22 @@ class TraceTemplate:
         Returns one ``(n_atoms + 1)``-long array per rank — entry ``i`` is
         the clock right after atom ``i - 1`` (entry 0 is the post-preamble
         start time), so an event at tape position ``p`` happened at
-        ``times[p]`` — plus the resolved per-sync costs.
+        ``times[p]`` — plus the resolved per-sync costs.  Each rank is
+        priced as a one-row batch of :func:`_clock_times`; every sync then
+        shifts the rest of each rank's timeline so that all ranks leave the
+        barrier together, after the collective's cost.
         """
-        pres: List[np.ndarray] = []
-        for rank in self.ranks:
-            effective = self._reprice_atoms(rank, spec, host_dispatch_ns)
-            pres.append(np.concatenate((np.zeros(1, dtype=np.int64),
-                                        np.cumsum(effective))))
-        offsets = [int(rank.preamble_segments) * spec.cuda_malloc_overhead_ns
-                   for rank in self.ranks]
-
-        n_ranks = len(self.ranks)
+        times = [_clock_times(atoms, [(spec, host_dispatch_ns)])[0]
+                 for atoms in self._atoms]
+        n_ranks = len(times)
+        shifts = [0] * n_ranks
         sync_costs: List[int] = []
         # Segment boundaries: each sync splits a rank's timeline; between two
-        # syncs the times are offset + prefix-sum (vectorized per segment).
-        segment_offsets: List[List[Tuple[int, int]]] = [
-            [(0, offsets[r])] for r in range(n_ranks)]
+        # syncs the times are the priced clock plus one shift (vectorized).
+        segment_shifts: List[List[Tuple[int, int]]] = [
+            [(0, 0)] for _ in range(n_ranks)]
         for j in range(int(self.sync_kinds.size)):
-            arrivals = [offsets[r] + int(pres[r][self.sync_pos[r][j]])
+            arrivals = [shifts[r] + int(times[r][self.sync_pos[r][j]])
                         for r in range(n_ranks)]
             start = max(arrivals)
             if int(self.sync_kinds[j]) == TAPE_ALLREDUCE:
@@ -563,19 +644,14 @@ class TraceTemplate:
             sync_costs.append(cost)
             for r in range(n_ranks):
                 position = int(self.sync_pos[r][j])
-                offsets[r] = end - int(pres[r][position])
-                segment_offsets[r].append((position + 1, offsets[r]))
+                shifts[r] = end - int(times[r][position])
+                segment_shifts[r].append((position + 1, shifts[r]))
 
-        times: List[np.ndarray] = []
         for r in range(n_ranks):
-            absolute = pres[r].copy()
-            boundaries = segment_offsets[r] + [(absolute.size, 0)]
-            for (begin, offset), (stop, _) in zip(boundaries, boundaries[1:]):
-                absolute[begin:stop] += offset
-            times.append(absolute)
+            boundaries = segment_shifts[r] + [(times[r].size, 0)]
+            for (begin, shift), (stop, _) in zip(boundaries, boundaries[1:]):
+                times[r][begin:stop] += shift
         return times, sync_costs
-
-    # -- replay -----------------------------------------------------------------------
 
     @staticmethod
     def _host_dispatch_ns(config: TrainingRunConfig) -> int:
@@ -583,336 +659,89 @@ class TraceTemplate:
             return int(config.host_dispatch_overhead_ns)
         return 6_000  # KernelTimingModel's default
 
-    @staticmethod
-    def _scenario_dict(config: TrainingRunConfig,
-                       swap_policy: str) -> Dict[str, object]:
-        """The identifying fields block of a result (mirrors ``run_scenario``)."""
-        return {
-            "model": config.model,
-            "dataset": config.dataset,
-            "batch_size": config.batch_size,
-            "iterations": config.iterations,
-            "allocator": config.allocator,
-            "swap_policy": swap_policy,
-            "device_spec": config.device_spec,
-            "dtype": config.dtype,
-            "n_devices": config.n_devices,
-            "interconnect": config.interconnect,
-            "swap": config.swap,
-            "device_memory_capacity": config.device_memory_capacity,
-            "execution_mode": config.execution_mode,
-            "seed": config.seed,
-        }
-
-    def replay(self, scenario, bandwidths: BandwidthConfig,
-               started: float):
-        """Price one scenario from this template; returns a ``ScenarioResult``.
-
-        Exactness contract: every field except ``wall_time_s`` equals what
-        :func:`~repro.experiments.sweep.run_scenario` produces for the same
-        scenario, bit for bit.
-        """
-        config = scenario.config
-        cluster = build_cluster(config)
-        spec = cluster.device
-        times, sync_costs = self._resolve_times(
-            spec, self._host_dispatch_ns(config), cluster)
-        stats = self.meta["allocator_stats"]
-        peak_reserved = int(stats.get("peak_reserved_bytes",
-                                      self.meta["peak_reserved_bytes"]))
-        if (self.fast is not None and scenario.swap_policy == "none"
-                and peak_reserved > 0):
-            return self._fast_result(scenario, bandwidths, times[0], started)
-        session = self._rebuild_session(config, cluster, times, sync_costs)
-        from .sweep import reduce_session
-        return reduce_session(scenario, bandwidths, session, started)
-
-    def _fast_result(self, scenario, bandwidths: BandwidthConfig,
-                     absolute: np.ndarray, started: float):
-        """Single-rank, policy-free replay: no trace object is ever built."""
-        from .sweep import ScenarioResult
-
-        config = scenario.config
-        rank = self.ranks[0]
-        fast = self.fast
-        timestamps = absolute[rank.event_tape_pos]
-        gaps = timestamps[fast.ati_end_pos] - timestamps[fast.ati_start_pos]
-        arrays = replace(fast.ati, interval_ns=gaps)
-        ati_summary = summarize_values_us(arrays.interval_us)
-
-        label = config.label or config.describe()
-        peak_time = (int(timestamps[fast.peak_event_pos])
-                     if fast.peak_event_pos >= 0 else 0)
-        breakdown = replace(fast.breakdown, label=label, peak_time_ns=peak_time)
-
-        spans = rank.mark_spans
-        durations_s = [int(end - start) / 1e9
-                       for start, end in zip(absolute[spans[:, 0]],
-                                             absolute[spans[:, 1]])]
-        total_s = float(sum(durations_s))
-
-        stats = {k: int(v) for k, v in self.meta["allocator_stats"].items()}
-        peak_reserved = int(stats.get("peak_reserved_bytes",
-                                      self.meta["peak_reserved_bytes"]))
-        peak_allocated = int(stats.get("peak_allocated_bytes",
-                                       self.meta["peak_allocated_bytes"]))
-        return ScenarioResult(
-            scenario=self._scenario_dict(config, scenario.swap_policy),
-            key=scenario.key(bandwidths),
-            peak_allocated_bytes=int(self.meta["peak_allocated_bytes"]),
-            peak_reserved_bytes=int(self.meta["peak_reserved_bytes"]),
-            peak_live_bytes=int(fast.peak_live_bytes),
-            parameter_bytes=int(self.meta["parameter_bytes"]),
-            parameter_count=int(self.meta["parameter_count"]),
-            num_events=int(fast.num_events),
-            num_blocks=int(fast.num_blocks),
-            step_time_s_mean=total_s / len(durations_s) if durations_s else 0.0,
-            step_time_s_total=total_s,
-            ati=ati_summary.to_dict(),
-            swappable_fraction=swappable_fraction(arrays, bandwidths),
-            swap=None,  # the "none" policy evaluates to None by definition
-            breakdown=breakdown.to_dict(),
-            allocator_stats=stats,
-            mean_utilization=float(peak_allocated / peak_reserved),
-            wall_time_s=time.perf_counter() - started,
-            collective=None,
-            swap_execution=None,
-        )
-
-    # -- batched repricing ------------------------------------------------------------
-
-    def _batch_arrays(self) -> _BatchArrays:
-        """Build (once) the gather tables behind :meth:`replay_batch`."""
-        if self._batch is None:
-            rank = self.ranks[0]
-            fast = self.fast
-            table = atom_index_table(rank.tape_kind)
-            empty = np.empty(0, dtype=np.int64)
-            const_idx = table.get(TAPE_CONST, empty)
-            kernel_idx = table.get(TAPE_KERNEL, empty)
-            h2d_idx = table.get(TAPE_MEMCPY_H2D, empty)
-            d2h_idx = table.get(TAPE_MEMCPY_D2H, empty)
-            kernel_flops = rank.tape_flops[kernel_idx]
-            kernel_moved = rank.tape_bytes_moved[kernel_idx]
-            h2d_bytes = rank.tape_nbytes[h2d_idx]
-            d2h_bytes = rank.tape_nbytes[d2h_idx]
-            event_pos = rank.event_tape_pos
-            stats_base = {k: int(v)
-                          for k, v in self.meta["allocator_stats"].items()}
-            peak_reserved = int(stats_base.get(
-                "peak_reserved_bytes", self.meta["peak_reserved_bytes"]))
-            peak_allocated = int(stats_base.get(
-                "peak_allocated_bytes", self.meta["peak_allocated_bytes"]))
-            self._batch = _BatchArrays(
-                const_idx=const_idx,
-                const_dur=rank.tape_duration_ns[const_idx],
-                kernel_idx=kernel_idx,
-                kernel_flops9=1e9 * kernel_flops,
-                kernel_flops_nz=kernel_flops != 0.0,
-                kernel_moved9=1e9 * kernel_moved,
-                kernel_moved_nz=kernel_moved != 0.0,
-                h2d_idx=h2d_idx,
-                h2d_bytes9=1e9 * h2d_bytes,
-                h2d_nz=h2d_bytes != 0,
-                d2h_idx=d2h_idx,
-                d2h_bytes9=1e9 * d2h_bytes,
-                d2h_nz=d2h_bytes != 0,
-                alloc_idx=table.get(TAPE_ALLOC_OVERHEAD, empty),
-                segment_idx=table.get(TAPE_SEGMENT_OVERHEAD, empty),
-                ati_start_tape=event_pos[fast.ati_start_pos],
-                ati_end_tape=event_pos[fast.ati_end_pos],
-                ati_size=fast.ati.size,
-                span_begin=rank.mark_spans[:, 0],
-                span_end=rank.mark_spans[:, 1],
-                peak_tape_pos=(int(event_pos[fast.peak_event_pos])
-                               if fast.peak_event_pos >= 0 else -1),
-                breakdown_base=fast.breakdown.to_dict(),
-                stats_base=stats_base,
-                mean_utilization=float(peak_allocated / peak_reserved),
-            )
-        return self._batch
+    # -- replay -----------------------------------------------------------------------
 
     def replay_batch(self, scenarios: Sequence[object],
                      bandwidths_list: Sequence[BandwidthConfig],
                      started: Optional[float] = None) -> List[object]:
-        """Price a whole grid of scenarios of this structure in one pass.
+        """Price a grid of scenarios of this structure; the one replay path.
 
-        Every scenario that qualifies for the single-rank fast path is priced
-        through one ``(S × atoms)`` int64 broadcast (durations, prefix-sum
-        timestamps, ATI gaps, distribution summaries, Eq.-1 screening all
-        batched along axis 0); the rest fall back to the scalar
-        :meth:`replay` element by element.  The returned list is parallel to
-        ``scenarios`` and element-for-element bit-identical to what scalar
-        :meth:`replay` — and therefore a fresh symbolic simulation — would
-        produce (``wall_time_s`` aside).
+        Rows the columnar pricer can take (a single rank, swap policy
+        ``"none"``) are priced together by one ``(S × atoms)`` broadcast.
+        The other rows need a trace — a multi-rank row must resolve its
+        collectives, a swap policy evaluates the trace itself — so each one
+        is rebuilt as a session and reduced by
+        :func:`~repro.experiments.sweep.reduce_session`, the reduction fresh
+        simulation uses.  The returned list is parallel to ``scenarios`` and
+        element-for-element bit-identical to what a fresh symbolic
+        simulation would produce (``wall_time_s`` aside).
         """
+        from . import sweep
+
         if started is None:
             started = time.perf_counter()
         results: List[object] = [None] * len(scenarios)
-        stats = self.meta["allocator_stats"]
-        peak_reserved = int(stats.get("peak_reserved_bytes",
-                                      self.meta["peak_reserved_bytes"]))
-        batchable = (self.fast is not None and peak_reserved > 0
-                     and self.sync_kinds.size == 0)
         rows = []
         for index, scenario in enumerate(scenarios):
-            if batchable and scenario.swap_policy == "none":
+            if self.columnar is not None and scenario.swap_policy == "none":
                 rows.append(index)
-            else:
-                results[index] = self.replay(scenario, bandwidths_list[index],
-                                             time.perf_counter())
+                continue
+            row_started = time.perf_counter()
+            session = self._session_for(scenario.config)
+            results[index] = sweep.reduce_session(
+                scenario, bandwidths_list[index], session, row_started)
         if rows:
-            self._replay_batch_fast(scenarios, bandwidths_list, rows, results,
-                                    started)
+            self._replay_columnar(scenarios, bandwidths_list, rows, results,
+                                  started)
         return results
 
-    def _replay_batch_fast(self, scenarios, bandwidths_list, rows, results,
-                           started: float) -> None:
-        """Vectorized core of :meth:`replay_batch`: one (S × atoms) broadcast."""
-        from .sweep import ScenarioResult
+    def _replay_columnar(self, scenarios, bandwidths_list, rows, results,
+                         started: float) -> None:
+        """Price the trace-free rows of :meth:`replay_batch` in one broadcast."""
+        from . import sweep
 
-        rank = self.ranks[0]
-        fast = self.fast
-        batch = self._batch_arrays()
-        n_scenarios = len(rows)
-        n_atoms = rank.tape_kind.size
-
-        # Stack the pricing-axis parameters, one row per scenario.  Device
-        # specs repeat across a grid, so the cluster construction (the only
-        # Python-object work per pricing point) is memoized per spec.
-        eff_flops = np.empty(n_scenarios)
-        eff_bw = np.empty(n_scenarios)
-        h2d_bw = np.empty(n_scenarios)
-        d2h_bw = np.empty(n_scenarios)
-        launch = np.empty(n_scenarios, dtype=np.int64)
-        dispatch = np.empty(n_scenarios, dtype=np.int64)
-        memcpy_launch = np.empty(n_scenarios, dtype=np.int64)
-        alloc_overhead = np.empty(n_scenarios, dtype=np.int64)
-        segment_overhead = np.empty(n_scenarios, dtype=np.int64)
-        offsets = np.empty(n_scenarios, dtype=np.int64)
-        round_trip = np.empty(n_scenarios)
-        preamble = int(rank.preamble_segments)
+        columnar = self.columnar
+        # Device specs repeat across a grid, so the cluster construction (the
+        # only Python-object work per pricing point) is memoized per spec.
         specs: Dict[Tuple[str, Optional[int]], object] = {}
-        for j, i in enumerate(rows):
+        pricing = []
+        for i in rows:
             config = scenarios[i].config
             spec_key = (config.device_spec, config.device_memory_capacity)
             spec = specs.get(spec_key)
             if spec is None:
                 spec = specs[spec_key] = build_cluster(config).device
-            eff_flops[j] = spec.peak_flops * 0.65
-            eff_bw[j] = spec.memory_bandwidth * 0.75
-            h2d_bw[j] = spec.h2d_bandwidth
-            d2h_bw[j] = spec.d2h_bandwidth
-            launch[j] = spec.kernel_launch_overhead_ns
-            dispatch[j] = self._host_dispatch_ns(config)
-            memcpy_launch[j] = spec.memcpy_launch_overhead_ns
-            alloc_overhead[j] = spec.allocator_overhead_ns
-            segment_overhead[j] = spec.cuda_malloc_overhead_ns
-            offsets[j] = preamble * spec.cuda_malloc_overhead_ns
-            round_trip[j] = bandwidths_list[i].round_trip_s_per_byte
+            pricing.append((spec, self._host_dispatch_ns(config)))
+        times = _clock_times(self._atoms[0], pricing)
 
-        # Duration of every atom under every scenario: same float expressions
-        # as _reprice_atoms, broadcast along axis 0 — bit-identical rows.
-        durations = np.zeros((n_scenarios, n_atoms), dtype=np.int64)
-        if batch.const_idx.size:
-            durations[:, batch.const_idx] = batch.const_dur[None, :]
-        if batch.kernel_idx.size:
-            compute_ns = np.where(batch.kernel_flops_nz[None, :],
-                                  batch.kernel_flops9[None, :] / eff_flops[:, None],
-                                  0.0)
-            memory_ns = np.where(batch.kernel_moved_nz[None, :],
-                                 batch.kernel_moved9[None, :] / eff_bw[:, None],
-                                 0.0)
-            busy = np.maximum(compute_ns, memory_ns)
-            durations[:, batch.kernel_idx] = (
-                np.rint(launch[:, None] + busy).astype(np.int64)
-                + dispatch[:, None])
-        for idx, nonzero, bytes9, bandwidth in (
-                (batch.h2d_idx, batch.h2d_nz, batch.h2d_bytes9, h2d_bw),
-                (batch.d2h_idx, batch.d2h_nz, batch.d2h_bytes9, d2h_bw)):
-            if idx.size:
-                transfer = np.where(nonzero[None, :],
-                                    bytes9[None, :] / bandwidth[:, None], 0.0)
-                durations[:, idx] = np.rint(
-                    memcpy_launch[:, None] + transfer).astype(np.int64)
-        if batch.alloc_idx.size:
-            durations[:, batch.alloc_idx] = alloc_overhead[:, None]
-        if batch.segment_idx.size:
-            durations[:, batch.segment_idx] = segment_overhead[:, None]
-
-        # Absolute clock time after every atom (entry 0: post-preamble start).
-        times = np.empty((n_scenarios, n_atoms + 1), dtype=np.int64)
-        times[:, 0] = offsets
-        np.cumsum(durations, axis=1, out=times[:, 1:])
-        times[:, 1:] += offsets[:, None]
-
-        # Batched reductions: ATI gaps/summary/Eq.-1, peaks, iteration spans.
-        gaps = times[:, batch.ati_end_tape] - times[:, batch.ati_start_tape]
-        n_intervals = gaps.shape[1]
-        if n_intervals:
-            values = gaps / 1_000.0
-            percentiles = np.percentile(values, (50, 90, 99), axis=1)
-            # Row-at-a-time mean: the axis reduction pairs the sum with a
-            # different blocking than 1-D ``values.mean()`` and can differ in
-            # the last ulp, which would break bit-identity with the scalar
-            # path's ``summarize_values_us``.
-            means = [float(values[j].mean()) for j in range(n_scenarios)]
-            mins = np.min(values, axis=1)
-            maxs = np.max(values, axis=1)
-            limits = np.maximum(gaps, 0) / 1e9 / round_trip[:, None]
-            fractions = np.mean(batch.ati_size[None, :] <= limits, axis=1)
-        if batch.peak_tape_pos >= 0:
-            peak_times = times[:, batch.peak_tape_pos]
-        step_ns = (times[:, batch.span_end] - times[:, batch.span_begin]).tolist()
+        gaps = times[:, columnar.ati_end_tape] - times[:, columnar.ati_start_tape]
+        summaries = summarize_rows_us(gaps / 1_000.0)
+        fractions = swappable_fractions(gaps, columnar.ati_size,
+                                        [bandwidths_list[i] for i in rows])
+        peak_times = (times[:, columnar.peak_tape_pos].tolist()
+                      if columnar.peak_tape_pos >= 0 else [0] * len(rows))
+        step_ns = (times[:, columnar.span_end]
+                   - times[:, columnar.span_begin]).tolist()
 
         for j, i in enumerate(rows):
             scenario = scenarios[i]
             config = scenario.config
-            if n_intervals:
-                summary = AtiSummary(
-                    count=n_intervals, mean_us=float(means[j]),
-                    p50_us=float(percentiles[0, j]),
-                    p90_us=float(percentiles[1, j]),
-                    p99_us=float(percentiles[2, j]),
-                    min_us=float(mins[j]), max_us=float(maxs[j]))
-                swappable = float(fractions[j])
-            else:
-                summary = AtiSummary(count=0, mean_us=0.0, p50_us=0.0,
-                                     p90_us=0.0, p99_us=0.0, min_us=0.0,
-                                     max_us=0.0)
-                swappable = 0.0
-            label = config.label or config.describe()
-            breakdown = dict(batch.breakdown_base)
-            breakdown["label"] = label
-            breakdown["peak_time_ns"] = (int(peak_times[j])
-                                         if batch.peak_tape_pos >= 0 else 0)
-            durations_s = [ns / 1e9 for ns in step_ns[j]]
-            total_s = float(sum(durations_s))
-            results[i] = ScenarioResult(
-                scenario=self._scenario_dict(config, scenario.swap_policy),
-                key=scenario.key(bandwidths_list[i]),
-                peak_allocated_bytes=int(self.meta["peak_allocated_bytes"]),
-                peak_reserved_bytes=int(self.meta["peak_reserved_bytes"]),
-                peak_live_bytes=int(fast.peak_live_bytes),
-                parameter_bytes=int(self.meta["parameter_bytes"]),
-                parameter_count=int(self.meta["parameter_count"]),
-                num_events=int(fast.num_events),
-                num_blocks=int(fast.num_blocks),
-                step_time_s_mean=(total_s / len(durations_s)
-                                  if durations_s else 0.0),
-                step_time_s_total=total_s,
-                ati=summary.to_dict(),
-                swappable_fraction=swappable,
-                swap=None,  # the "none" policy evaluates to None by definition
-                breakdown=breakdown,
-                allocator_stats=dict(batch.stats_base),
-                mean_utilization=batch.mean_utilization,
-                wall_time_s=time.perf_counter() - started,
-                collective=None,
-                swap_execution=None,
-            )
+            breakdown = dict(columnar.breakdown,
+                             label=config.label or config.describe(),
+                             peak_time_ns=peak_times[j])
+            results[i] = sweep.build_result(
+                sweep.scenario_identity(scenario),
+                scenario.key(bandwidths_list[i]), columnar.structure,
+                step_ns[j], summaries[j], fractions[j], breakdown, started)
 
     # -- full trace rebuild (multi-rank or policy evaluation) -------------------------
+
+    def _session_for(self, config: TrainingRunConfig) -> SessionResult:
+        """The session a fresh run of ``config`` would have produced."""
+        cluster = build_cluster(config)
+        times, sync_costs = self._resolve_times(
+            cluster.device, self._host_dispatch_ns(config), cluster)
+        return self._rebuild_session(config, cluster, times, sync_costs)
 
     def _rebuild_session(self, config: TrainingRunConfig, cluster,
                          times: List[np.ndarray],
@@ -1041,10 +870,7 @@ class TraceTemplate:
 
     def replay_trace(self, config: TrainingRunConfig) -> MemoryTrace:
         """Rebuild the merged trace under ``config``'s pricing (test helper)."""
-        cluster = build_cluster(config)
-        times, sync_costs = self._resolve_times(
-            cluster.device, self._host_dispatch_ns(config), cluster)
-        return self._rebuild_session(config, cluster, times, sync_costs).trace
+        return self._session_for(config).trace
 
 
 # -- compilation ----------------------------------------------------------------------
@@ -1058,7 +884,7 @@ def check_replay_envelope(config: TrainingRunConfig) -> None:
     if config.host_latency is not None:
         raise TemplateError("host-latency models are not replayable",
                             reason="host_latency")
-    if config.execution_mode not in ("symbolic", "virtual"):
+    if config.execution_mode != "symbolic":
         raise TemplateError("only symbolic runs can be captured",
                             reason="eager_mode")
 
@@ -1074,14 +900,13 @@ def _compile_template_checked(config: TrainingRunConfig) -> TraceTemplate:
     """
     check_replay_envelope(config)
     key = template_key(config)
-    compile_config = replace(config, execution_mode="symbolic")
     capture = _TemplateCapture()
     try:
-        session = run_training_session(compile_config, capture=capture)
+        session = run_training_session(config, capture=capture)
     finally:
         capture.detach()
 
-    spec = build_cluster(compile_config).device
+    spec = build_cluster(config).device
     ranks = []
     for profiler, trace, tape in zip(capture.profilers, capture.rank_traces,
                                      capture.tapes):
@@ -1329,27 +1154,6 @@ def load_family(path: Path, key: Optional[str] = None) -> Optional[TemplateFamil
         return None
 
 
-def save_template(template: TraceTemplate, path: Path) -> None:
-    """Persist one template as a single-variant family (compat wrapper)."""
-    save_family(TemplateFamily(template.key, {template.dtype: template}), path)
-
-
-def load_template(path: Path, key: Optional[str] = None,
-                  dtype: Optional[str] = None) -> Optional[TraceTemplate]:
-    """Load one variant from a persisted family (compat wrapper).
-
-    Without ``dtype``, returns the family's base variant; ``None`` on any
-    mismatch, corruption, or absent dtype.
-    """
-    family = load_family(path, key=key)
-    if family is None:
-        return None
-    if dtype is None:
-        captured = family.captured_dtypes()
-        dtype = captured[0] if captured else ""
-    return family.get(dtype)
-
-
 # -- the engine -----------------------------------------------------------------------
 
 
@@ -1459,9 +1263,7 @@ class ReplayEngine:
                 _freeze(config.dataset_kwargs), config.batch_size,
                 config.iterations, config.learning_rate, config.momentum,
                 config.optimizer, config.dtype, config.allocator,
-                "symbolic" if config.execution_mode == "virtual"
-                else config.execution_mode,
-                config.seed, config.n_devices, config.swap,
+                config.execution_mode, config.seed, config.n_devices, config.swap,
                 config.host_latency is None)
 
     def price_batch(self, scenarios: Sequence,

@@ -74,6 +74,7 @@ import os
 import time
 import traceback as traceback_module
 import weakref
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
@@ -82,7 +83,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..baselines.policy import available_policies, get_policy
 from ..swap.policies import EXECUTION_POLICIES, SWAP_OFF
-from ..core.ati import compute_interval_arrays, summarize_values_us
+from ..core.ati import AtiSummary, compute_interval_arrays, summarize_values_us
 from ..core.breakdown import BreakdownSeries, OccupationBreakdown, occupation_breakdown
 from ..core.fragmentation import analyze_fragmentation
 from ..core.swap import BandwidthConfig, swappable_fraction
@@ -98,7 +99,7 @@ from .journal import RunJournal
 #: v2: policies generalized to the baselines registry, dtype axis added.
 #: v3: data-parallel axes (n_devices, interconnect), collective summaries,
 #:     fp32 master weights under half-precision training.
-#: v4: symbolic execution mode is the sweep default (legacy name "virtual"),
+#: v4: symbolic execution mode is the sweep default (then also named virtual),
 #:     columnar recorder, per-scenario wall time in the summary table.
 #: v5: closed-loop swap execution (the ``swaps`` axis / ``--swap`` flag):
 #:     scenarios can run the repro.swap engine and results carry the
@@ -458,7 +459,6 @@ def reduce_session(scenario: Scenario, bandwidths: BandwidthConfig,
     trace = session.trace
 
     arrays = compute_interval_arrays(trace)
-    ati_summary = summarize_values_us(arrays.interval_us)
     breakdown = occupation_breakdown(
         trace, label=scenario.config.label or scenario.config.describe())
 
@@ -470,31 +470,59 @@ def reduce_session(scenario: Scenario, bandwidths: BandwidthConfig,
     else:
         mean_utilization = analyze_fragmentation(trace).mean_utilization
 
-    durations_s = [stats_.duration_ns / 1e9 for stats_ in session.iteration_stats]
-    total_s = float(sum(durations_s))
+    structure = {
+        "peak_allocated_bytes": int(session.peak_allocated_bytes),
+        "peak_reserved_bytes": int(session.peak_reserved_bytes),
+        "peak_live_bytes": int(trace.peak_live_bytes()),
+        "parameter_bytes": int(session.parameter_bytes),
+        "parameter_count": int(session.parameter_count),
+        "num_events": len(trace),
+        "num_blocks": len(trace.block_ids()),
+        "allocator_stats": stats,
+        "mean_utilization": float(mean_utilization),
+    }
+    return build_result(
+        scenario_identity(scenario), scenario.key(bandwidths), structure,
+        [stats_.duration_ns for stats_ in session.iteration_stats],
+        summarize_values_us(arrays.interval_us),
+        swappable_fraction(arrays, bandwidths), breakdown.to_dict(), started,
+        swap=_swap_policy_summary(scenario.swap_policy, session, bandwidths),
+        collective=session.collective, swap_execution=session.swap_execution)
 
-    config = scenario.config
+
+def build_result(identity: Dict[str, object], key: str,
+                 structure: Dict[str, object], step_ns: Sequence[int],
+                 ati: AtiSummary, swappable: float,
+                 breakdown: Dict[str, object], started: float,
+                 swap: Optional[Dict[str, object]] = None,
+                 collective: Optional[Dict[str, object]] = None,
+                 swap_execution: Optional[Dict[str, object]] = None
+                 ) -> ScenarioResult:
+    """Assemble a :class:`ScenarioResult`: the one builder behind every row.
+
+    Fresh simulation (:func:`reduce_session`) and columnar template replay
+    both end here, so a result column is derived in exactly one place.
+    ``structure`` carries the structural scalars (peaks, parameter and
+    event counts, ``allocator_stats``, ``mean_utilization``) keyed by their
+    :class:`ScenarioResult` field names; ``step_ns`` holds the per-iteration
+    step durations in nanoseconds.
+    """
+    durations_s = [ns / 1e9 for ns in step_ns]
+    total_s = float(sum(durations_s))
+    stats = {k: int(v) for k, v in structure["allocator_stats"].items()}
     return ScenarioResult(
-        scenario=scenario_identity(scenario),
-        key=scenario.key(bandwidths),
-        peak_allocated_bytes=int(session.peak_allocated_bytes),
-        peak_reserved_bytes=int(session.peak_reserved_bytes),
-        peak_live_bytes=int(trace.peak_live_bytes()),
-        parameter_bytes=int(session.parameter_bytes),
-        parameter_count=int(session.parameter_count),
-        num_events=len(trace),
-        num_blocks=len(trace.block_ids()),
+        scenario=identity,
+        key=key,
+        **{**structure, "allocator_stats": stats},
         step_time_s_mean=total_s / len(durations_s) if durations_s else 0.0,
         step_time_s_total=total_s,
-        ati=ati_summary.to_dict(),
-        swappable_fraction=swappable_fraction(arrays, bandwidths),
-        swap=_swap_policy_summary(scenario.swap_policy, session, bandwidths),
-        breakdown=breakdown.to_dict(),
-        allocator_stats={k: int(v) for k, v in stats.items()},
-        mean_utilization=float(mean_utilization),
+        ati=ati.to_dict(),
+        swappable_fraction=float(swappable),
+        swap=swap,
+        breakdown=breakdown,
         wall_time_s=time.perf_counter() - started,
-        collective=session.collective,
-        swap_execution=session.swap_execution,
+        collective=collective,
+        swap_execution=swap_execution,
     )
 
 
@@ -785,7 +813,6 @@ class SweepRunner:
                  use_cache: bool = True,
                  bandwidths: Optional[BandwidthConfig] = None,
                  chunk_size: Optional[int] = None,
-                 replay_batching: bool = True,
                  retries: int = 0,
                  backoff_s: float = 0.05,
                  timeout_s: Optional[float] = None,
@@ -798,10 +825,6 @@ class SweepRunner:
         self.use_cache = bool(use_cache)
         self.bandwidths = bandwidths
         self.chunk_size = chunk_size
-        #: Route replay scenarios through the grid-batched pricer
-        #: (:meth:`ReplayEngine.price_batch`); ``False`` restores the
-        #: scenario-at-a-time scalar path (benchmark baseline).
-        self.replay_batching = bool(replay_batching)
         self.retries = max(0, int(retries))
         self.backoff_s = max(0.0, float(backoff_s))
         self.timeout_s = None if timeout_s is None else float(timeout_s)
@@ -1088,28 +1111,29 @@ class SweepRunner:
             engine = self._ensure_replay_engine()
             store = getattr(engine, "store", None)
             quarantined_before = getattr(store, "quarantined", 0)
+            # The engine outlives this run (its templates are reused), so its
+            # counters are cumulative: this run reports their increase.
+            replayed_before = engine.replayed
+            compiled_before = engine.templates_compiled
+            variants_before = engine.variants_captured
+            fallbacks_before = Counter(engine.fallback_reasons)
             bandwidths_list = [scenario.resolve_bandwidths(self.bandwidths)
                                for _, scenario in replay_candidates]
-            engine_errors = 0
-            if self.replay_batching:
+            try:
                 # Whole grid in one call: the engine groups the scenarios by
                 # structure and prices each group as a single broadcast.
-                try:
-                    outcomes = engine.price_batch(
-                        [scenario for _, scenario in replay_candidates],
-                        bandwidths_list)
-                except Exception:  # degrade to fresh simulation below
-                    engine_errors = len(replay_candidates)
-                    outcomes = [None] * len(replay_candidates)
+                outcomes = engine.price_batch(
+                    [scenario for _, scenario in replay_candidates],
+                    bandwidths_list)
+            except Exception:  # degrade to fresh simulation below
+                outcomes = [None] * len(replay_candidates)
+                replay_fallbacks = {"engine_error": len(replay_candidates)}
             else:
-                outcomes = []
-                for (_, scenario), bandwidths in zip(replay_candidates,
-                                                     bandwidths_list):
-                    try:
-                        outcomes.append(engine.price(scenario, bandwidths))
-                    except Exception:  # degrade to fresh simulation below
-                        engine_errors += 1
-                        outcomes.append(None)
+                replayed = engine.replayed - replayed_before
+                replay_fallbacks = dict(Counter(engine.fallback_reasons)
+                                        - fallbacks_before)
+            templates_compiled = engine.templates_compiled - compiled_before
+            template_variants = engine.variants_captured - variants_before
             priced: set = set()
             for (index, scenario), result in zip(replay_candidates, outcomes):
                 if result is None:
@@ -1120,13 +1144,6 @@ class SweepRunner:
                     journal.record_completed(keys[index], 1)
                 priced.add(index)
             missing = [(i, s) for i, s in missing if i not in priced]
-            replayed = engine.replayed
-            templates_compiled = engine.templates_compiled
-            template_variants = engine.variants_captured
-            replay_fallbacks = dict(engine.fallback_reasons)
-            if engine_errors:
-                replay_fallbacks["engine_error"] = (
-                    replay_fallbacks.get("engine_error", 0) + engine_errors)
             template_quarantined = (getattr(store, "quarantined", 0)
                                     - quarantined_before)
 

@@ -6,9 +6,8 @@ a ``free``, and every kernel that touches the storage reports a ``read`` or
 ``write`` — the four memory behaviors the paper records.
 
 In *eager* execution the storage also owns a NumPy buffer holding the actual
-values; in *symbolic* execution (legacy name: *virtual*) the buffer is
-omitted and only the memory behavior (allocation, accesses, timing) is
-simulated.
+values; in *symbolic* execution the buffer is omitted and only the memory
+behavior (allocation, accesses, timing) is simulated.
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ def tiny_grid(**overrides):
         allocators=("caching",),
         model_kwargs={"hidden_dim": 32},
         dataset="two_cluster",
-        execution_mode="virtual",
+        execution_mode="symbolic",
     )
     settings.update(overrides)
     return SweepGrid(**settings)

@@ -16,9 +16,10 @@ import pytest
 from repro.experiments.replay import (
     ReplayEngine,
     TemplateError,
+    TemplateFamily,
     compile_template,
-    load_template,
-    save_template,
+    load_family,
+    save_family,
     template_key,
 )
 from repro.experiments.sweep import Scenario, SweepGrid, SweepRunner, run_scenario
@@ -208,6 +209,28 @@ def test_swap_execution_scenarios_fall_back_to_simulation():
     assert modes == {"off", "lru"}
 
 
+def test_reused_runner_reports_per_run_replay_accounting():
+    """The runner's replay engine outlives each ``run``; the replay counts a
+    run reports must not add up across runs."""
+    runner = SweepRunner()  # no cache: every run offers the whole grid
+    grid = replay_grid()
+    first = runner.run(grid)
+    second = runner.run(grid)
+    for result in (first, second):
+        assert result.replayed == grid.size() == 4
+        assert (result.replayed + sum(result.replay_fallbacks.values())
+                == grid.size())
+    assert first.templates_compiled == 1 and first.template_variants == 1
+    assert second.templates_compiled == 0 and second.template_variants == 0
+
+    mixed = replay_grid(host_dispatch_overheads_ns=(None,),
+                        device_specs=("titan_x_pascal",), swaps=("off", "lru"))
+    for _ in range(2):
+        result = runner.run(mixed)
+        assert result.replayed == 1
+        assert result.replay_fallbacks == {"swap_execution": 1}
+
+
 # -- template validity and persistence ------------------------------------------------
 
 
@@ -274,19 +297,21 @@ def test_template_round_trips_through_npz(tmp_path):
     scenario = make_scenario(n_devices=2)
     template = compile_template(scenario.config)
     path = tmp_path / "template.npz"
-    save_template(template, path)
-    loaded = load_template(path, key=template.key)
+    save_family(TemplateFamily(template.key, {template.dtype: template}), path)
+    family = load_family(path, key=template.key)
+    assert family is not None
+    loaded = family.get(template.dtype)
     assert loaded is not None
     fresh = run_scenario(scenario)
-    replayed = loaded.replay(scenario, scenario.resolve_bandwidths(), 0.0)
+    replayed = loaded.replay_batch([scenario], [scenario.resolve_bandwidths()])[0]
     assert comparable(replayed) == comparable(fresh)
 
 
 def test_corrupt_template_file_loads_as_none(tmp_path):
     path = tmp_path / "template.npz"
     path.write_bytes(b"not an npz archive")
-    assert load_template(path) is None
-    assert load_template(tmp_path / "missing.npz") is None
+    assert load_family(path) is None
+    assert load_family(tmp_path / "missing.npz") is None
 
 
 # -- batched grid repricing -----------------------------------------------------------
@@ -333,8 +358,8 @@ def test_price_batch_is_bit_identical_to_fresh_symbolic():
 
 
 def test_price_batch_handles_multi_rank_scenarios():
-    """Sync-carrying (multi-rank) scenarios batch through the scalar fallback
-    inside ``replay_batch`` and stay exact."""
+    """Sync-carrying (multi-rank) scenarios take the traced route inside
+    ``replay_batch`` and stay exact."""
     scenarios = [make_scenario(n_devices=2, dtype=dtype, **overrides)
                  for dtype in ("float32", "float16")
                  for overrides in ({}, {"interconnect": "nvlink2"},
@@ -345,20 +370,6 @@ def test_price_batch_handles_multi_rank_scenarios():
     for scenario, result in zip(scenarios, batched):
         assert comparable(result) == comparable(run_scenario(scenario))
     assert engine.templates_compiled == 1
-
-
-def test_sweep_batching_off_matches_batched_dispatch():
-    """``SweepRunner(replay_batching=False)`` (the benchmark baseline) and
-    the batched default produce identical rows and accounting."""
-    grid = replay_grid(dtypes=("float32", "float16"))
-    batched = SweepRunner().run(grid)
-    scalar = SweepRunner(replay_batching=False).run(grid)
-    assert len(batched.results) == len(scalar.results) == 8
-    assert batched.replayed == scalar.replayed == 8
-    assert batched.templates_compiled == scalar.templates_compiled == 1
-    assert batched.template_variants == scalar.template_variants == 2
-    for one, many in zip(scalar.results, batched.results):
-        assert comparable(one) == comparable(many)
 
 
 # -- dtype-generalized template families ----------------------------------------------
@@ -396,8 +407,6 @@ def test_one_family_serves_both_dtypes_across_pricing_points():
 
 
 def test_family_round_trips_with_dtype_variants(tmp_path):
-    from repro.experiments.replay import TemplateFamily, load_family, save_family
-
     fp32 = make_scenario(dtype="float32")
     fp16 = make_scenario(dtype="float16")
     family = TemplateFamily(template_key(fp32.config))
@@ -410,13 +419,12 @@ def test_family_round_trips_with_dtype_variants(tmp_path):
     assert loaded.captured_dtypes() == ["float16", "float32"]
     for scenario in (fp32, fp16):
         variant = loaded.get(scenario.config.dtype)
-        replayed = variant.replay(scenario, scenario.resolve_bandwidths(), 0.0)
+        replayed = variant.replay_batch([scenario],
+                                        [scenario.resolve_bandwidths()])[0]
         assert comparable(replayed) == comparable(run_scenario(scenario))
 
 
 def test_load_template_selects_the_requested_dtype_variant(tmp_path):
-    from repro.experiments.replay import TemplateFamily, save_family
-
     fp32 = make_scenario(dtype="float32").config
     fp16 = make_scenario(dtype="float16").config
     family = TemplateFamily(template_key(fp32))
@@ -424,14 +432,13 @@ def test_load_template_selects_the_requested_dtype_variant(tmp_path):
     family.capture(fp16)
     path = tmp_path / "family.npz"
     save_family(family, path)
-    assert load_template(path, dtype="float16").dtype == "float16"
-    assert load_template(path, dtype="float32").dtype == "float32"
-    assert load_template(path, dtype="bfloat16") is None
+    loaded = load_family(path)
+    assert loaded.get("float16").dtype == "float16"
+    assert loaded.get("float32").dtype == "float32"
+    assert loaded.get("bfloat16") is None
 
 
 def test_failed_dtype_capture_is_memoized_not_retried():
-    from repro.experiments.replay import TemplateFamily
-
     config = make_scenario().config
     family = TemplateFamily(template_key(config))
     broken = TrainingRunConfig(**{**config.__dict__, "swap": "lru"})
@@ -468,7 +475,7 @@ def test_sweep_surfaces_replay_fallback_reasons():
 def test_save_family_leaves_no_temp_files(tmp_path):
     template = compile_template(make_scenario().config)
     path = tmp_path / "template.npz"
-    save_template(template, path)
+    save_family(TemplateFamily(template.key, {template.dtype: template}), path)
     assert [p.name for p in tmp_path.iterdir()] == ["template.npz"]
 
 

@@ -14,18 +14,14 @@ When both modes run, the report also contains the symbolic-over-eager
 ``speedup`` block — the number the acceptance bar of the symbolic-execution
 work tracks (``>= 5x`` scenarios/sec on the reference grid).  The grids
 price every workload structure at many timing points (device specs x
-dispatch overheads x dtypes), so two replay modes measure the
-trace-template engine against symbolic:
-
-* ``replay`` — scenario-at-a-time scalar replay (the pre-batching path,
-  kept as the regression baseline),
-* ``replay-batch`` — grid-batched replay: scenarios grouped by structure
-  and priced in one ``(S x atoms)`` broadcast per dtype variant, the
-  production path behind ``--execution replay``.
+dispatch overheads x dtypes), so the ``replay-batch`` mode measures the
+trace-template engine against symbolic: scenarios grouped by structure and
+priced in one ``(S x atoms)`` broadcast per dtype variant, the path behind
+``--execution replay``.
 
 The ``replay_speedup`` block is computed from ``replay-batch`` when that
-mode ran (falling back to ``replay``); ``--assert-replay-speedup X`` turns
-the block into a CI gate (exit 1 below ``X`` scenarios/s over symbolic).
+mode ran; ``--assert-replay-speedup X`` turns the block into a CI gate
+(exit 1 below ``X`` scenarios/s over symbolic).
 
 Each mode executes in its own child process so that peak-RSS measurements do
 not bleed across modes (``ru_maxrss`` is a process-lifetime high-water mark)
@@ -44,7 +40,6 @@ Usage::
     python tools/bench.py --grid full           # the 96-scenario pricing grid
     python tools/bench.py --modes symbolic      # symbolic only
     python tools/bench.py --modes symbolic,replay-batch  # batched-replay speedup
-    python tools/bench.py --modes symbolic,replay,replay-batch  # + scalar baseline
     python tools/bench.py --modes symbolic+swap # swap-execution throughput
     python tools/bench.py --budget-s 300        # fail if the run exceeds it
     python tools/bench.py --assert-replay-speedup 6  # gate on the speedup
@@ -102,7 +97,8 @@ FULL_PRICING_AXES = dict(
 #: The reference grids.  Each entry is a list of SweepGrid keyword sets; the
 #: union of their expansions is the grid.  Both grids deliberately price
 #: few *structures* at many timing points — the sweep-as-a-service regime —
-#: so the replay modes measure repricing throughput, not compile throughput.
+#: so the replay-batch mode measures repricing throughput, not compile
+#: throughput.
 REFERENCE_GRIDS = {
     "quick": [
         dict(models=("mlp",), batch_sizes=(512,), iterations=(2,),
@@ -122,27 +118,31 @@ REFERENCE_GRIDS = {
 SWAP_BENCH_POLICY = "zero_offload"
 
 
-def parse_mode(mode: str):
-    """Split a bench mode token into (execution_mode, swap_mode, batching).
+#: Bench mode tokens and the sweep execution mode each one runs.
+EXECUTION_OF_MODE = {"eager": "eager", "symbolic": "symbolic",
+                     "replay-batch": "replay"}
 
-    ``replay`` measures the scenario-at-a-time scalar path; ``replay-batch``
-    measures the grid-batched path (both expand to ``--execution replay``
-    scenarios — only the runner's dispatch strategy differs).
+
+def parse_mode(mode: str):
+    """Split a bench mode token into (execution_mode, swap_mode).
+
+    ``replay-batch`` runs ``--execution replay`` scenarios, which the sweep
+    runner prices grid-batched.
     """
     base, _, suffix = mode.partition("+")
     if suffix not in ("", "swap"):
         raise ValueError(f"unknown bench mode suffix '+{suffix}'")
-    batching = base == "replay-batch"
-    if batching:
-        base = "replay"
-    return base, (SWAP_BENCH_POLICY if suffix == "swap" else "off"), batching
+    if base not in EXECUTION_OF_MODE:
+        raise ValueError(f"unknown execution mode '{mode}'")
+    return (EXECUTION_OF_MODE[base],
+            SWAP_BENCH_POLICY if suffix == "swap" else "off")
 
 
 def reference_scenarios(grid_name: str, mode: str):
     """Expand the named reference grid for one bench mode."""
     from repro.experiments.sweep import SweepGrid
 
-    execution_mode, swap, _ = parse_mode(mode)
+    execution_mode, swap = parse_mode(mode)
     scenarios = []
     for kwargs in REFERENCE_GRIDS[grid_name]:
         scenarios.extend(
@@ -173,11 +173,9 @@ def run_mode(grid_name: str, mode: str, workers: int) -> dict:
     """Run the reference grid in one mode (no caching) and measure it."""
     from repro.experiments.sweep import SweepRunner
 
-    _, _, batching = parse_mode(mode)
     scenarios = reference_scenarios(grid_name, mode)
     _warm_up()
-    with SweepRunner(cache_dir=None, workers=workers, use_cache=False,
-                     replay_batching=batching) as runner:
+    with SweepRunner(cache_dir=None, workers=workers, use_cache=False) as runner:
         started = time.perf_counter()
         sweep = runner.run(scenarios)
         wall_s = time.perf_counter() - started
@@ -249,7 +247,7 @@ def main(argv=None) -> int:
     parser.add_argument("--assert-replay-speedup", type=float, default=None,
                         metavar="X",
                         help="fail (exit 1) if replay_speedup.scenarios_per_s "
-                             "is below X (requires symbolic and a replay mode)")
+                             "is below X (requires symbolic and replay-batch)")
     parser.add_argument("--run-one", default=None, metavar="MODE",
                         help=argparse.SUPPRESS)  # internal: child process mode
     args = parser.parse_args(argv)
@@ -260,11 +258,9 @@ def main(argv=None) -> int:
     modes = [mode.strip() for mode in args.modes.split(",") if mode.strip()]
     for mode in modes:
         try:
-            base, _, _ = parse_mode(mode)
+            parse_mode(mode)
         except ValueError as error:
             parser.error(str(error))
-        if base not in ("eager", "symbolic", "virtual", "replay"):
-            parser.error(f"unknown execution mode '{mode}'")
 
     started = time.perf_counter()
     mode_reports = {}
@@ -302,9 +298,8 @@ def main(argv=None) -> int:
         }
         print(f"symbolic/eager speedup: "
               f"{report['speedup']['scenarios_per_s']}x scenarios/s")
-    replay_mode = next((m for m in ("replay-batch", "replay")
-                        if m in mode_reports), None)
-    if "symbolic" in mode_reports and replay_mode is not None:
+    replay_mode = "replay-batch"
+    if "symbolic" in mode_reports and replay_mode in mode_reports:
         symbolic = mode_reports["symbolic"]
         replayed = mode_reports[replay_mode]
         report["replay_speedup"] = {
@@ -323,14 +318,6 @@ def main(argv=None) -> int:
               f"family(ies), {report['replay_speedup']['template_variants']} "
               f"variant capture(s) for {report['replay_speedup']['replayed']} "
               f"scenarios)")
-    if "replay" in mode_reports and "replay-batch" in mode_reports:
-        report["batch_speedup"] = {
-            "scenarios_per_s": round(
-                mode_reports["replay-batch"]["scenarios_per_s"]
-                / mode_reports["replay"]["scenarios_per_s"], 2),
-        }
-        print(f"replay-batch/replay speedup: "
-              f"{report['batch_speedup']['scenarios_per_s']}x scenarios/s")
     if "symbolic" in mode_reports and "symbolic+swap" in mode_reports:
         plain = mode_reports["symbolic"]
         swapped = mode_reports["symbolic+swap"]
@@ -356,8 +343,8 @@ def main(argv=None) -> int:
     if args.assert_replay_speedup is not None:
         achieved = report.get("replay_speedup", {}).get("scenarios_per_s")
         if achieved is None:
-            print("error: --assert-replay-speedup needs both symbolic and a "
-                  "replay mode in --modes", file=sys.stderr)
+            print("error: --assert-replay-speedup needs both symbolic and "
+                  "replay-batch in --modes", file=sys.stderr)
             return 1
         if achieved < args.assert_replay_speedup:
             print(f"error: replay speedup {achieved}x below the "
