@@ -34,11 +34,14 @@ sweep-smoke:
 	$(PYTHON) -m repro sweep --models mlp --batch-sizes 16,32 \
 		--allocators caching,bump --dry-run
 
-# Tiny closed-loop swap-execution sweep (the CI swap-smoke leg): runs the
-# engine under every executable policy and prints measured vs predicted.
+# Tiny policy sweep (the CI swap-smoke leg): every registered policy on both
+# axes — the engine under every executing policy, each row reporting every
+# predicting policy's estimate — printing measured vs predicted.
 swap-smoke:
 	$(PYTHON) -m repro sweep --models mlp --batch-sizes 512 --iterations 5 \
-		--swap off,planner,swap_advisor,zero_offload,lru --no-cache
+		--swap off,planner,swap_advisor,zero_offload,lru,unified \
+		--swap-policies none,planner,swap_advisor,zero_offload,recompute,pruning,quantization \
+		--no-cache
 
 # Feasibility-frontier smoke (the CI frontier-smoke leg): the unified
 # keep/swap/recompute policy plus the capacity governor on a tiny capacity

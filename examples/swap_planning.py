@@ -16,10 +16,21 @@ Run with:  python examples/swap_planning.py [--batch-size N] [--allow-overhead-m
 
 import argparse
 
-from repro.baselines import estimate_pruning, estimate_quantization, estimate_recompute_plan
 from repro.experiments import paper_mlp_config, run_swap_planner
 from repro.units import format_bytes, format_duration
 from repro.viz import render_table
+
+#: Table label of each registered policy the experiment predicts.
+APPROACHES = {
+    "swap_advisor": "SwapAdvisor-style (largest tensors)",
+    "zero_offload": "ZeRO-Offload-style (optimizer state)",
+    "recompute": "Gradient checkpointing (keep 1/2)",
+    "pruning": "Weight pruning (90% sparsity)",
+    "quantization": "Weight quantization (8-bit)",
+}
+
+#: What compression costs instead of runtime (its predicted overhead is 0).
+COMPRESSION_COST = {"pruning": "retraining", "quantization": "accuracy loss"}
 
 
 def main() -> None:
@@ -33,35 +44,20 @@ def main() -> None:
     print(f"Planning memory-pressure reduction for {config.describe()} ...\n")
     result = run_swap_planner(config=config,
                               allow_overhead_ns=args.allow_overhead_ms * 1e6)
-    trace = result.session.trace
 
     print("ATI-aware swap plan (this work):")
     print(result.plan.describe())
 
-    recompute = estimate_recompute_plan(trace, keep_every=2)
-    pruning = estimate_pruning(trace, sparsity=0.9)
-    quantization = estimate_quantization(trace, bits=8)
-
-    rows = [
-        {"approach": "ATI-aware swap planner",
-         "peak saved": f"{100 * result.plan.savings_fraction:.1f}%",
-         "overhead": format_duration(result.plan.total_overhead_ns)},
-        {"approach": "SwapAdvisor-style (largest tensors)",
-         "peak saved": f"{100 * result.swap_advisor_baseline.savings_fraction:.1f}%",
-         "overhead": format_duration(result.swap_advisor_baseline.overhead_ns)},
-        {"approach": "ZeRO-Offload-style (optimizer state)",
-         "peak saved": f"{100 * result.zero_offload_baseline.savings_fraction:.1f}%",
-         "overhead": format_duration(result.zero_offload_baseline.overhead_ns)},
-        {"approach": "Gradient checkpointing (keep 1/2)",
-         "peak saved": f"{100 * recompute.savings_fraction:.1f}%",
-         "overhead": format_duration(recompute.recompute_time_overhead_ns)},
-        {"approach": "Weight pruning (90% sparsity)",
-         "peak saved": f"{100 * pruning.total_reduction_fraction:.1f}%",
-         "overhead": "retraining"},
-        {"approach": "Weight quantization (8-bit)",
-         "peak saved": f"{100 * quantization.total_reduction_fraction:.1f}%",
-         "overhead": "accuracy loss"},
-    ]
+    rows = [{"approach": "ATI-aware swap planner",
+             "peak saved": f"{100 * result.plan.savings_fraction:.1f}%",
+             "overhead": format_duration(result.plan.total_overhead_ns)}]
+    for name, prediction in result.baselines.items():
+        rows.append({
+            "approach": APPROACHES.get(name, name),
+            "peak saved": f"{100 * prediction['savings_fraction']:.1f}%",
+            "overhead": COMPRESSION_COST.get(
+                name, format_duration(prediction["overhead_ns"])),
+        })
     print("\nComparison of memory-pressure-reduction approaches on this trace:")
     print(render_table(rows))
 

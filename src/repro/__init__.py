@@ -13,13 +13,15 @@ The package is organised as the paper's system is:
 * :mod:`repro.experiments` — one entry point per paper figure/table, all
   backed by the scenario-sweep engine and its on-disk result cache;
 * :mod:`repro.viz` — ASCII/SVG renderings and CSV/JSON export of figure data;
-* :mod:`repro.baselines` — swapping/recomputation/compression baselines
-  behind the pluggable :class:`~repro.baselines.policy.MemoryPolicy`
-  registry (the sweep's policy axis);
-* :mod:`repro.swap` — the closed-loop swap-execution engine: runs
-  eviction/prefetch plans on the device's copy stream during simulation,
-  emits ``swap_out``/``swap_in`` trace events and measures real stalls
-  (the sweep's ``--swap`` axis);
+* :mod:`repro.swap` — the memory policies (swapping, recomputation,
+  compression), one :class:`~repro.swap.policies.MemoryPolicy` class each
+  in one registry, and the closed-loop swap-execution engine.  A policy
+  predicts its effect on a recorded trace (the sweep's policy axis),
+  executes eviction/prefetch plans on the device's copy stream during
+  simulation with ``swap_out``/``swap_in`` trace events and real stalls
+  (the sweep's ``--swap`` axis), or both;
+* :mod:`repro.baselines` — the recomputation and compression estimators
+  those policies predict with;
 * :mod:`repro.report` — regenerates EXPERIMENTS.md and the ``docs/figures/``
   pages from cached sweep results (``repro report`` / ``repro report
   --check``).

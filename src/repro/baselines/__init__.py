@@ -1,49 +1,17 @@
-"""Reference memory-pressure-reduction policies used for comparison.
+"""Estimators behind the recomputation and parameter-compression policies.
 
-Every baseline — swapping variants, recomputation and parameter
-compression — is exposed both as its original estimator function and behind
-the uniform :class:`~repro.baselines.policy.MemoryPolicy` interface, so the
-sweep engine and the report generator can treat ``swap_advisor``,
-``recompute`` and ``pruning`` as interchangeable points on one axis.
+The ``recompute``, ``pruning`` and ``quantization`` policies of
+:mod:`repro.swap.policies` predict through these functions, which estimate
+the footprint and runtime effect of each technique on a recorded trace.
 """
 
-from .policy import (
-    MemoryPolicy,
-    NoPolicy,
-    PlannerPolicy,
-    POLICY_REGISTRY,
-    PolicySummary,
-    PruningPolicy,
-    QuantizationPolicy,
-    RecomputePolicy,
-    SwapAdvisorPolicy,
-    ZeroOffloadPolicy,
-    available_policies,
-    get_policy,
-)
 from .pruning import CompressionEstimate, estimate_pruning, estimate_quantization
 from .recompute import RecomputePlan, estimate_recompute_plan
-from .swapping import SwapPolicyResult, swap_advisor_style_policy, zero_offload_style_policy
 
 __all__ = [
     "CompressionEstimate",
-    "MemoryPolicy",
-    "NoPolicy",
-    "POLICY_REGISTRY",
-    "PlannerPolicy",
-    "PolicySummary",
-    "PruningPolicy",
-    "QuantizationPolicy",
     "RecomputePlan",
-    "RecomputePolicy",
-    "SwapAdvisorPolicy",
-    "SwapPolicyResult",
-    "ZeroOffloadPolicy",
-    "available_policies",
     "estimate_pruning",
     "estimate_quantization",
     "estimate_recompute_plan",
-    "get_policy",
-    "swap_advisor_style_policy",
-    "zero_offload_style_policy",
 ]

@@ -42,7 +42,7 @@ from .data.datasets import DATASET_PRESETS
 from .device.spec import DEVICE_PRESETS
 from .errors import InfeasibleScenarioError, OutOfMemoryError
 from .models.registry import available_models
-from .swap.policies import SWAP_OFF, available_execution_policies
+from .swap.policies import EXECUTE, PREDICT, SWAP_OFF, policy_names
 from .train.session import TrainingRunConfig, run_training_session
 from .units import format_bytes
 from .viz import render_stacked_bars, render_table
@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--allocator", default="caching",
                          choices=("caching", "best_fit", "bump"))
     profile.add_argument("--swap", default=SWAP_OFF,
-                         choices=(SWAP_OFF,) + available_execution_policies(),
+                         choices=(SWAP_OFF,) + policy_names(EXECUTE),
                          help="run the closed-loop swap-execution engine "
                               "during the session and print its measured "
                               "vs predicted summary")
@@ -116,9 +116,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated allocator policies "
                             "(caching, best_fit, bump)")
     sweep.add_argument("--swap-policies", default="none",
-                       help="comma-separated baseline policies (none, planner, "
-                            "swap_advisor, zero_offload, recompute, pruning, "
-                            "quantization)")
+                       help="comma-separated policies whose offline "
+                            "prediction each row reports ("
+                            + ", ".join(policy_names(PREDICT)) + ")")
     sweep.add_argument("--devices", default="titan_x_pascal",
                        help="comma-separated device presets")
     sweep.add_argument("--dtypes", default="float32",
@@ -134,8 +134,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="allreduce cost model used for gradient collectives")
     sweep.add_argument("--swap", default="off",
                        help="comma-separated closed-loop swap-execution modes "
-                            "(off, planner, swap_advisor, zero_offload, lru, "
-                            "unified): the engine actually evicts/prefetches "
+                            "(" + ", ".join((SWAP_OFF,) + policy_names(EXECUTE))
+                            + "): the engine actually evicts/prefetches "
                             "blocks on the copy stream during the simulation "
                             "and reports measured peak reduction + stall "
                             "time next to the policy's predictions; unified "

@@ -38,8 +38,9 @@ executor's capacity governor enforces it (forced evictions with stall
 accounting, a structured :class:`~repro.errors.InfeasibleScenarioError`
 when infeasible); with swap off, the allocator itself is shrunk and OOMs
 raw — together they trace a feasibility frontier.
-The policy axis is backed by the :mod:`repro.baselines`
-registry (swapping variants, recomputation, parameter compression); the
+The policy axis takes the registered policies that predict
+(:mod:`repro.swap.policies`: swapping variants, recomputation, parameter
+compression), the ``swaps`` axis those that execute; the
 dtype axis sets the device's default training precision; the device axis
 also selects the Eq.-1 bandwidths unless the runner overrides them
 explicitly.  The ``n_devices`` and ``interconnects`` axes make each
@@ -81,8 +82,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..baselines.policy import available_policies, get_policy
-from ..swap.policies import EXECUTION_POLICIES, SWAP_OFF
+from ..swap.policies import EXECUTE, PREDICT, SWAP_OFF, get_policy, policy_names
 from ..core.ati import AtiSummary, compute_interval_arrays, summarize_values_us
 from ..core.breakdown import BreakdownSeries, OccupationBreakdown, occupation_breakdown
 from ..core.fragmentation import analyze_fragmentation
@@ -120,14 +120,14 @@ CACHE_DIR_ENV = "REPRO_SWEEP_CACHE"
 #: Default on-disk cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = Path(".repro_cache") / "sweeps"
 
-#: Policies a scenario can be evaluated under (the baselines registry: the
-#: historical name is kept although the axis now spans swapping, recompute
-#: and parameter-compression baselines).
-SWAP_POLICIES = available_policies()
+#: Policies whose prediction a scenario reports (the registered policies
+#: that predict: the historical name is kept although the axis spans
+#: swapping, recompute and parameter-compression baselines).
+SWAP_POLICIES = policy_names(PREDICT)
 
-#: Modes of the closed-loop swap-execution axis: ``off`` plus the executable
-#: policy registry of :mod:`repro.swap` (the ``--swap`` CLI flag).
-SWAP_EXECUTION_MODES = (SWAP_OFF,) + tuple(EXECUTION_POLICIES)
+#: Modes of the closed-loop swap-execution axis: ``off`` plus the registered
+#: policies that execute (the ``--swap`` CLI flag).
+SWAP_EXECUTION_MODES = (SWAP_OFF,) + policy_names(EXECUTE)
 
 
 def default_cache_dir() -> Path:
@@ -412,19 +412,15 @@ def scenario_identity(scenario: Scenario) -> Dict[str, object]:
 
 def _swap_policy_summary(policy: str, session: SessionResult,
                          bandwidths: BandwidthConfig) -> Optional[Dict[str, object]]:
-    """Evaluate the requested policy (from the baselines registry) on the trace.
+    """Predict the requested policy on the session's trace.
 
-    Multi-device sessions evaluate the policy on the rank-0 replica's slice:
-    every policy then reports *per-device* peaks and savings, directly
-    comparable with the scenario's per-replica ``peak_allocated_bytes``
-    (the merged trace would count each replicated parameter/gradient block
-    once per rank).  The slice keeps the session metadata, so the rank-aware
-    ZeRO-Offload partitioning still sees the cluster size.
+    The policy is built for the session's replica count and predicts
+    per device (see :meth:`~repro.swap.policies.MemoryPolicy.predict`), so
+    its peaks and savings compare directly with the scenario's per-replica
+    ``peak_allocated_bytes``.
     """
-    trace = session.trace
-    if session.n_devices > 1:
-        trace = trace.for_rank(0)
-    return get_policy(policy).evaluate(trace, bandwidths)
+    return get_policy(policy, PREDICT, world_size=session.n_devices).predict(
+        session.trace, bandwidths)
 
 
 def run_scenario(scenario: Scenario,

@@ -1,20 +1,21 @@
-"""Closed-loop swap-execution engine.
+"""Memory policies and the closed-loop swap-execution engine.
 
-The analytic side of the reproduction (:mod:`repro.core.swap`,
-:mod:`repro.baselines`) *predicts* what evicting blocks to host memory would
-do to the footprint and the step time.  This package *executes* those
-decisions inside the simulation: a :class:`SwapExecutor` attaches to a
-device as a memory-event listener, watches one warm-up iteration, lets a
-:class:`SwapExecutionPolicy` turn the observed behaviors into eviction /
-prefetch decisions, schedules the resulting copies on the device's dedicated
-copy stream (so they overlap with compute and contend with each other), and
-stalls the device clock whenever a prefetch misses its deadline.  Every
-eviction and restoration is recorded as a first-class ``swap_out`` /
-``swap_in`` trace event, so the *measured* peak-memory reduction and stall
-overhead fall out of the trace and can be regressed against the planner's
-*predicted* numbers.
+Every memory-pressure-reduction policy — swapping variants, recomputation
+and parameter compression — is one class in :mod:`repro.swap.policies`,
+registered once in :data:`POLICIES`.  A policy *predicts* its effect
+offline on a recorded trace, *executes* inside the simulation, or both.
 
-Policies (see :data:`EXECUTION_POLICIES`):
+Executing is this package's engine: a :class:`SwapExecutor` attaches to a
+device as a memory-event listener, watches one warm-up iteration, lets the
+policy turn the observed behaviors into eviction / prefetch decisions,
+schedules the resulting copies on the device's dedicated copy stream (so
+they overlap with compute and contend with each other), and stalls the
+device clock whenever a prefetch misses its deadline.  Every eviction and
+restoration is recorded as a first-class ``swap_out`` / ``swap_in`` trace
+event, so the *measured* peak-memory reduction and stall overhead fall out
+of the trace and can be regressed against the policy's *predicted* numbers.
+
+Policies that execute:
 
 ``planner``
     The paper's Eq.-1 cost model, executed: swap exactly the candidates the
@@ -49,29 +50,45 @@ eviction raises a structured
 
 from .executor import SwapExecutor, SwapExecutionSummary
 from .policies import (
-    EXECUTION_POLICIES,
+    EXECUTE,
+    POLICIES,
+    PREDICT,
+    SWAP_OFF,
     EvictDirective,
     LruExecutionPolicy,
-    PlannerExecutionPolicy,
-    SwapAdvisorExecutionPolicy,
-    SwapExecutionPolicy,
+    MemoryPolicy,
+    NoPolicy,
+    PlannerPolicy,
+    PolicySummary,
+    PruningPolicy,
+    QuantizationPolicy,
+    RecomputePolicy,
+    SwapAdvisorPolicy,
     UnifiedExecutionPolicy,
-    ZeroOffloadExecutionPolicy,
-    available_execution_policies,
-    get_execution_policy,
+    ZeroOffloadPolicy,
+    get_policy,
+    policy_names,
 )
 
 __all__ = [
-    "EXECUTION_POLICIES",
+    "EXECUTE",
     "EvictDirective",
     "LruExecutionPolicy",
-    "PlannerExecutionPolicy",
-    "SwapAdvisorExecutionPolicy",
-    "SwapExecutionPolicy",
+    "MemoryPolicy",
+    "NoPolicy",
+    "POLICIES",
+    "PREDICT",
+    "PlannerPolicy",
+    "PolicySummary",
+    "PruningPolicy",
+    "QuantizationPolicy",
+    "RecomputePolicy",
+    "SWAP_OFF",
+    "SwapAdvisorPolicy",
     "SwapExecutionSummary",
     "SwapExecutor",
     "UnifiedExecutionPolicy",
-    "ZeroOffloadExecutionPolicy",
-    "available_execution_policies",
-    "get_execution_policy",
+    "ZeroOffloadPolicy",
+    "get_policy",
+    "policy_names",
 ]

@@ -1,32 +1,74 @@
-"""Execution policies for the closed-loop swap engine.
+"""Memory policies: one registry, one object per policy.
 
-A :class:`SwapExecutionPolicy` turns the executor's observations into
-eviction/prefetch *directives*.  The executor owns all mechanism — residency
-accounting, copy-stream scheduling, stall insertion, trace events — while the
-policy owns strategy: *which* blocks leave the device, *when*, and whether a
-prefetch is scheduled against a deadline or the block is left to a demand
-fetch.
+The paper sees swapping as one way to relieve device-memory pressure;
+recomputation and parameter compression are the others.  Every such
+strategy is one :class:`MemoryPolicy` subclass, registered once in
+:data:`POLICIES` under the name both sweep axes use.  A policy implements one
+or both of two modes:
 
-The plan-driven policies (``planner``, ``swap_advisor``) reuse the analytic
-machinery of :mod:`repro.core.swap` and :mod:`repro.baselines.swapping` for
-their selection, so their *predicted* numbers and the engine's *measured*
-numbers come from the same cost model — the predicted-vs-simulated
-regression in the test suite pins that agreement.
+``predict``
+    :meth:`MemoryPolicy.predict` estimates the policy's effect offline on a
+    recorded trace and returns a *normalized* summary: ``policy``,
+    ``savings_bytes``, ``savings_fraction`` and ``overhead_ns``, plus
+    whatever the underlying estimator reports.  The ``none`` baseline
+    predicts ``None``.  This is the sweep's ``swap_policies`` axis
+    (``--swap-policies``).
+``execute``
+    The closed-loop hooks (:meth:`MemoryPolicy.plan`, the ``directive*``
+    methods and the ``predicted`` summary of the executed plan) drive a
+    :class:`~repro.swap.executor.SwapExecutor` inside the simulation.  The
+    executor owns all mechanism — residency accounting, copy-stream
+    scheduling, stall insertion, trace events — while the policy owns
+    strategy: *which* blocks leave the device, *when*, and whether a
+    prefetch is scheduled against a deadline or the block is left to a
+    demand fetch.  This is the ``swaps`` axis (``--swap``; ``off`` disables
+    the engine).
+
+``planner``, ``swap_advisor`` and ``zero_offload`` do both from one set of
+parameters.  ``lru`` and ``unified`` only execute (their class names keep
+the ``ExecutionPolicy`` suffix); ``none``, ``recompute``, ``pruning`` and
+``quantization`` only predict, the last three through the estimators of
+:mod:`repro.baselines`.  ``planner`` and ``unified`` select through the same
+:class:`~repro.core.swap.SwapPlanner` as the offline analysis, so their
+predicted and measured numbers come from one cost model — the
+predicted-vs-simulated regression in the test suite pins that agreement.
+
+Every policy is built the same way: :func:`get_policy` passes a session's
+``world_size`` and ``capacity_bytes`` to any policy's constructor.
+
+To add a policy, write one :class:`MemoryPolicy` subclass — its ``name``,
+its ``modes`` and the methods those modes need (``_estimate`` to predict,
+the hooks to execute) — and add it to :data:`POLICIES`.  The sweep axes,
+the CLI choices and the executor's name lookup all follow the registry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
-from ..core.ati import AccessInterval
+from ..baselines.pruning import CompressionEstimate, estimate_pruning, estimate_quantization
+from ..baselines.recompute import estimate_recompute_plan
+from ..core.ati import AccessInterval, compute_access_intervals
 from ..core.events import MemoryCategory, MemoryEventKind
-from ..core.swap import BandwidthConfig, SwapPlanner, swap_round_trip_ns
+from ..core.swap import BandwidthConfig, SwapCandidate, SwapPlanner, swap_round_trip_ns
+from ..core.trace import MemoryTrace
+from ..errors import ConfigurationError
 from ..units import MIB
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from .executor import BlockState, WarmupObservations
+
+#: The normalized summary a prediction produces.
+PolicySummary = Dict[str, object]
+
+#: The two modes a policy can implement (see the module docstring).
+PREDICT = "predict"
+EXECUTE = "execute"
+
+#: The value of the ``--swap`` axis that disables the engine entirely.
+SWAP_OFF = "off"
 
 
 @dataclass(frozen=True)
@@ -59,16 +101,69 @@ class EvictDirective:
     recompute: bool = False
 
 
-class SwapExecutionPolicy:
-    """Base class: never evicts anything."""
+class MemoryPolicy:
+    """Base class: implements no mode, so it predicts nothing and never evicts.
+
+    Parameters
+    ----------
+    world_size:
+        Replicas of the session the policy serves (ZeRO-style partitioning
+        divides each rank's transfers by it).
+    capacity_bytes:
+        The session's device-memory capacity (``None`` = unbounded).
+
+    Every subclass constructor forwards these two session keywords here, so
+    :func:`get_policy` builds any policy for a session with one call.
+    """
 
     #: Registry name (subclasses override).
     name: str = "base"
 
-    def __init__(self) -> None:
-        #: The policy's predicted effect (a plan/estimator summary), filled by
-        #: :meth:`plan`; ``None`` for purely reactive policies such as LRU.
+    #: The modes (:data:`PREDICT`, :data:`EXECUTE`) the policy implements.
+    modes: Tuple[str, ...] = ()
+
+    def __init__(self, world_size: int = 1,
+                 capacity_bytes: Optional[int] = None) -> None:
+        self.world_size = max(1, int(world_size))
+        self.capacity_bytes = (None if capacity_bytes is None
+                               else int(capacity_bytes))
+        #: The executed plan's predicted effect, filled by :meth:`plan`;
+        #: ``None`` for purely reactive policies such as LRU.
         self.predicted: Optional[Dict[str, object]] = None
+
+    # -- predict ------------------------------------------------------------------------
+
+    def predict(self, trace: MemoryTrace,
+                bandwidths: Optional[BandwidthConfig] = None) -> Optional[PolicySummary]:
+        """Estimate the policy's effect on a recorded trace.
+
+        A merged multi-rank trace is estimated on its rank-0 slice, so every
+        policy reports *per-device* peaks and savings (the merged trace would
+        count each replicated parameter/gradient block once per rank); the
+        replica count reaches the estimate through ``world_size``.  Returns a
+        dictionary with at least ``policy``, ``savings_bytes``,
+        ``savings_fraction`` and ``overhead_ns``.
+        """
+        if PREDICT not in self.modes:
+            raise ConfigurationError(
+                f"policy '{self.name}' only executes; it has no offline prediction")
+        if len(trace.ranks()) > 1:
+            trace = trace.for_rank(0)
+        bandwidths = bandwidths if bandwidths is not None else BandwidthConfig.from_paper()
+        summary, savings_bytes, savings_fraction, overhead_ns = self._estimate(
+            trace, bandwidths)
+        summary["policy"] = self.name
+        summary["savings_bytes"] = int(savings_bytes)
+        summary["savings_fraction"] = float(savings_fraction)
+        summary["overhead_ns"] = float(overhead_ns)
+        return summary
+
+    def _estimate(self, trace: MemoryTrace, bandwidths: BandwidthConfig
+                  ) -> Tuple[PolicySummary, int, float, float]:
+        """A fresh estimator summary, savings bytes/fraction and overhead on one rank."""
+        raise NotImplementedError
+
+    # -- execute ------------------------------------------------------------------------
 
     def plan(self, warmup: "WarmupObservations", bandwidths: BandwidthConfig) -> None:
         """Digest the warm-up observations into triggers (called every replan)."""
@@ -87,6 +182,25 @@ class SwapExecutionPolicy:
                                just_allocated: "BlockState") -> List[EvictDirective]:
         """Evictions to relieve memory pressure right after an allocation."""
         return []
+
+
+def _swap_estimate(name: str, num_blocks: int, swapped: int, peak_before: int,
+                   overhead_ns: float, **extra) -> Tuple[PolicySummary, int, float, float]:
+    """Estimate of a swap policy that keeps ``swapped`` bytes off the device."""
+    savings = peak_before - max(0, peak_before - swapped)
+    fraction = savings / peak_before if peak_before else 0.0
+    summary = {"name": name, "num_blocks": num_blocks, "swapped_bytes": swapped,
+               "savings_bytes": savings, "savings_fraction": fraction,
+               "overhead_ns": overhead_ns, **extra}
+    return summary, savings, fraction, overhead_ns
+
+
+def _compression_estimate(estimate: CompressionEstimate
+                          ) -> Tuple[PolicySummary, int, float, float]:
+    """Estimate of a parameter-compression policy (no runtime overhead)."""
+    return (estimate.summary(),
+            estimate.peak_bytes_before - estimate.estimated_peak_bytes_after,
+            estimate.total_reduction_fraction, 0.0)
 
 
 def _covers_peak(state: "BlockState", peak_phase_ns: Optional[int],
@@ -146,6 +260,32 @@ def _predict_peak_after(windows: List[Tuple[int, int, int]],
     return worst
 
 
+def _gap_windows(states: Iterable["BlockState"]) -> List[Tuple[int, int, int]]:
+    """Each block's best idle window as a :func:`_predict_peak_after` window."""
+    return [(state.best_gap_phase_ns,
+             state.best_gap_phase_ns + state.best_gap_ns, state.size)
+            for state in states]
+
+
+def _within_copy_budget(selected: Sequence[SwapCandidate],
+                        budget_ns: float) -> Tuple[List[SwapCandidate], float]:
+    """Candidates (best savings first) whose round trips fit the copy budget.
+
+    Eq. 1 is a per-candidate bound; the copy engine is one in-order stream,
+    so the *aggregate* round-trip traffic per iteration must also fit or
+    prefetches queue behind each other and miss their deadlines.  Returns
+    the accepted candidates and the round-trip time they spend.
+    """
+    kept = []
+    spent = 0.0
+    for candidate in selected:
+        if spent + candidate.round_trip_ns > budget_ns:
+            continue
+        spent += candidate.round_trip_ns
+        kept.append(candidate)
+    return kept, spent
+
+
 @dataclass(frozen=True)
 class _Trigger:
     """How one selected block's eviction is fired during execution."""
@@ -180,28 +320,6 @@ def _directive_for_trigger(trigger: _Trigger, block_id: int) -> EvictDirective:
     return EvictDirective(block_id=block_id, prefetch_gap_ns=trigger.gap_ns)
 
 
-def _directive_for_access(triggers: Dict[int, _Trigger],
-                          state: "BlockState") -> Optional[EvictDirective]:
-    """Ordinal-triggered eviction with a prefetch against the learned gap."""
-    trigger = triggers.get(state.block_id)
-    if (trigger is None or trigger.at_iteration_end
-            or state.iter_access_count != trigger.ordinal):
-        return None
-    return _directive_for_trigger(trigger, state.block_id)
-
-
-def _directives_for_iteration_end(triggers: Dict[int, _Trigger],
-                                  resident: Iterable["BlockState"]) -> List[EvictDirective]:
-    """Boundary-window evictions: fire once the iteration's accesses are done."""
-    directives = []
-    for state in resident:
-        trigger = triggers.get(state.block_id)
-        if trigger is None or not trigger.at_iteration_end:
-            continue
-        directives.append(_directive_for_trigger(trigger, state.block_id))
-    return directives
-
-
 def _interval_from_observation(state: "BlockState") -> AccessInterval:
     """Adapt a warm-up observation to the planner's candidate record.
 
@@ -222,30 +340,77 @@ def _interval_from_observation(state: "BlockState") -> AccessInterval:
     )
 
 
-class PlannerExecutionPolicy(SwapExecutionPolicy):
-    """Execute the Eq.-1 swap planner's selection (the paper's cost model).
+class _TriggeredPolicy(MemoryPolicy):
+    """Executes a per-block trigger map that :meth:`plan` fills."""
 
-    The warm-up intervals are fed through the *same*
-    :class:`~repro.core.swap.SwapPlanner` as the offline analysis; each
-    selected candidate becomes a trigger (evict after the opening access,
-    prefetch back against the measured interval).
+    def __init__(self, **session) -> None:
+        super().__init__(**session)
+        self._triggers: Dict[int, _Trigger] = {}
+
+    def directive_after_access(self, state: "BlockState") -> Optional[EvictDirective]:
+        """Ordinal-triggered eviction with a prefetch against the learned gap."""
+        trigger = self._triggers.get(state.block_id)
+        if (trigger is None or trigger.at_iteration_end
+                or state.iter_access_count != trigger.ordinal):
+            return None
+        return _directive_for_trigger(trigger, state.block_id)
+
+    def directives_at_iteration_end(
+            self, resident: Iterable["BlockState"]) -> List[EvictDirective]:
+        """Boundary-window evictions: fire once the iteration's accesses are done."""
+        directives = []
+        for state in resident:
+            trigger = self._triggers.get(state.block_id)
+            if trigger is None or not trigger.at_iteration_end:
+                continue
+            directives.append(_directive_for_trigger(trigger, state.block_id))
+        return directives
+
+
+class NoPolicy(MemoryPolicy):
+    """The do-nothing baseline: the footprint is reported as recorded."""
+
+    name = "none"
+    modes = (PREDICT,)
+
+    def predict(self, trace: MemoryTrace,
+                bandwidths: Optional[BandwidthConfig] = None) -> Optional[PolicySummary]:
+        """No reduction is attempted; predicts ``None``."""
+        return None
+
+
+class PlannerPolicy(_TriggeredPolicy):
+    """The paper's Eq.-1 swap planner: swap only where the ATI hides the copy.
+
+    Predicting plans on the recorded access intervals.  Executing feeds the
+    warm-up intervals through the *same* :class:`~repro.core.swap.SwapPlanner`;
+    each selected candidate becomes a trigger (evict after the opening
+    access, prefetch back against the measured interval).
     """
 
     name = "planner"
+    modes = (PREDICT, EXECUTE)
 
     def __init__(self, min_candidate_bytes: int = 32 * MIB,
                  allow_overhead_ns: float = 0.0,
-                 copy_utilization_cap: float = 0.8):
-        super().__init__()
+                 copy_utilization_cap: float = 0.8, **session):
+        super().__init__(**session)
         self.min_candidate_bytes = int(min_candidate_bytes)
         self.allow_overhead_ns = float(allow_overhead_ns)
         self.copy_utilization_cap = float(copy_utilization_cap)
-        self._triggers: Dict[int, _Trigger] = {}
+
+    def _planner(self, bandwidths: BandwidthConfig) -> SwapPlanner:
+        return SwapPlanner(bandwidths=bandwidths,
+                           min_candidate_bytes=self.min_candidate_bytes,
+                           allow_overhead_ns=self.allow_overhead_ns)
+
+    def _estimate(self, trace: MemoryTrace, bandwidths: BandwidthConfig
+                  ) -> Tuple[PolicySummary, int, float, float]:
+        plan = self._planner(bandwidths).plan(trace, compute_access_intervals(trace))
+        return (plan.summary(), plan.savings_bytes, plan.savings_fraction,
+                plan.total_overhead_ns)
 
     def plan(self, warmup: "WarmupObservations", bandwidths: BandwidthConfig) -> None:
-        planner = SwapPlanner(bandwidths=bandwidths,
-                              min_candidate_bytes=self.min_candidate_bytes,
-                              allow_overhead_ns=self.allow_overhead_ns)
         # Only windows that cover the peak instant can reduce the peak; the
         # filter keeps the plan's predicted savings honest (Σ selected sizes
         # all absent at the peak) instead of summing irrelevant idle time.
@@ -253,29 +418,16 @@ class PlannerExecutionPolicy(SwapExecutionPolicy):
                     if state.best_gap_ns > 0
                     and _covers_peak(state, warmup.peak_phase_ns,
                                      warmup.iteration_duration_ns)]
-        plan = planner.plan_from_intervals(
+        plan = self._planner(bandwidths).plan_from_intervals(
             [_interval_from_observation(state) for state in observed],
             peak_before=warmup.peak_resident_bytes)
-        # Eq. 1 is a per-candidate bound; the copy engine is one in-order
-        # stream, so the *aggregate* round-trip traffic per iteration must
-        # also fit or prefetches queue behind each other and miss their
-        # deadlines.  Accept candidates (best savings first) until the
-        # stream-utilization budget is spent.
-        budget_ns = self.copy_utilization_cap * warmup.iteration_duration_ns
-        kept = []
-        spent = 0.0
-        for candidate in plan.selected:
-            if spent + candidate.round_trip_ns > budget_ns:
-                continue
-            spent += candidate.round_trip_ns
-            kept.append(candidate)
+        kept, spent = _within_copy_budget(
+            plan.selected,
+            self.copy_utilization_cap * warmup.iteration_duration_ns)
         kept_states = [warmup.by_id[candidate.interval.block_id]
                        for candidate in kept]
         self._triggers = _build_triggers(kept_states)
-        peak_after = _predict_peak_after(
-            [(state.best_gap_phase_ns,
-              state.best_gap_phase_ns + state.best_gap_ns, state.size)
-             for state in kept_states], warmup)
+        peak_after = _predict_peak_after(_gap_windows(kept_states), warmup)
         savings = max(0, plan.peak_bytes_before - peak_after)
         self.predicted = {
             "num_candidates": len(plan.candidates),
@@ -289,15 +441,8 @@ class PlannerExecutionPolicy(SwapExecutionPolicy):
             "copy_round_trip_ns": spent,
         }
 
-    def directive_after_access(self, state: "BlockState") -> Optional[EvictDirective]:
-        return _directive_for_access(self._triggers, state)
 
-    def directives_at_iteration_end(
-            self, resident: Iterable["BlockState"]) -> List[EvictDirective]:
-        return _directives_for_iteration_end(self._triggers, resident)
-
-
-class UnifiedExecutionPolicy(SwapExecutionPolicy):
+class UnifiedExecutionPolicy(PlannerPolicy):
     """Capuchin-style unified eviction: keep, swap or recompute per block.
 
     Every peak-covering idle window is a candidate.  Per candidate the policy
@@ -324,31 +469,22 @@ class UnifiedExecutionPolicy(SwapExecutionPolicy):
     With ``capacity_bytes`` set, blocks the budget would keep are force-added
     to the swap set (accepting their stall overhead) until the predicted peak
     fits the capacity; whatever still does not fit is left to the executor's
-    runtime pressure governor.
+    runtime pressure governor.  The planner's parameters pass through.
     """
 
     name = "unified"
+    modes = (EXECUTE,)
 
     #: Only forward activations are rematerializable by producer replay —
     #: gradients would need the backward graph re-run, and parameters /
     #: optimizer state have no producer to replay at all.
     RECOMPUTABLE_CATEGORIES = (MemoryCategory.ACTIVATION,)
 
-    def __init__(self, min_candidate_bytes: int = 32 * MIB,
-                 allow_overhead_ns: float = 0.0,
-                 copy_utilization_cap: float = 0.8,
-                 enable_swap: bool = True,
-                 enable_recompute: bool = True,
-                 capacity_bytes: Optional[int] = None):
-        super().__init__()
-        self.min_candidate_bytes = int(min_candidate_bytes)
-        self.allow_overhead_ns = float(allow_overhead_ns)
-        self.copy_utilization_cap = float(copy_utilization_cap)
+    def __init__(self, enable_swap: bool = True, enable_recompute: bool = True,
+                 **planner):
+        super().__init__(**planner)
         self.enable_swap = bool(enable_swap)
         self.enable_recompute = bool(enable_recompute)
-        self.capacity_bytes = (None if capacity_bytes is None
-                               else int(capacity_bytes))
-        self._triggers: Dict[int, _Trigger] = {}
 
     def _recompute_cost_ns(self, state: "BlockState") -> Optional[int]:
         """The modeled replay cost, or ``None`` when not rematerializable.
@@ -364,15 +500,12 @@ class UnifiedExecutionPolicy(SwapExecutionPolicy):
         return None
 
     def plan(self, warmup: "WarmupObservations", bandwidths: BandwidthConfig) -> None:
-        planner = SwapPlanner(bandwidths=bandwidths,
-                              min_candidate_bytes=self.min_candidate_bytes,
-                              allow_overhead_ns=self.allow_overhead_ns)
         observed = [state for state in warmup.blocks
                     if state.best_gap_ns > 0
                     and state.size >= self.min_candidate_bytes
                     and _covers_peak(state, warmup.peak_phase_ns,
                                      warmup.iteration_duration_ns)]
-        plan = planner.plan_from_intervals(
+        plan = self._planner(bandwidths).plan_from_intervals(
             [_interval_from_observation(state) for state in observed],
             peak_before=warmup.peak_resident_bytes)
         budget_ns = self.copy_utilization_cap * warmup.iteration_duration_ns
@@ -381,13 +514,8 @@ class UnifiedExecutionPolicy(SwapExecutionPolicy):
         # anything it would move, the unified plan also covers — by replay
         # when that is cheaper, by transfer otherwise — which is what makes
         # the unified savings dominate both single-mechanism plans.
-        planner_kept_ids = set()
-        planner_spent = 0.0
-        for candidate in plan.selected:
-            if planner_spent + candidate.round_trip_ns > budget_ns:
-                continue
-            planner_spent += candidate.round_trip_ns
-            planner_kept_ids.add(candidate.interval.block_id)
+        planner_kept_ids = {candidate.interval.block_id for candidate
+                            in _within_copy_budget(plan.selected, budget_ns)[0]}
 
         decisions: List[Dict[str, object]] = []
         swap_states: List["BlockState"] = []
@@ -441,14 +569,9 @@ class UnifiedExecutionPolicy(SwapExecutionPolicy):
             decide(state, float(swap_round_trip_ns(state.size, bandwidths)),
                    swap_fits=False)
 
-        def windows(states):
-            return [(state.best_gap_phase_ns,
-                     state.best_gap_phase_ns + state.best_gap_ns, state.size)
-                    for state in states]
-
         forced_overhead = 0.0
         peak_after = _predict_peak_after(
-            windows(swap_states + recompute_states), warmup)
+            _gap_windows(swap_states + recompute_states), warmup)
         if self.capacity_bytes is not None and self.enable_swap:
             by_id = {decision["block_id"]: decision for decision in decisions}
             for state in sorted(kept_states, key=lambda s: s.size, reverse=True):
@@ -461,7 +584,7 @@ class UnifiedExecutionPolicy(SwapExecutionPolicy):
                 by_id[state.block_id]["mechanism"] = "swap"
                 by_id[state.block_id]["effective_swap_cost_ns"] = swap_cost
                 peak_after = _predict_peak_after(
-                    windows(swap_states + recompute_states), warmup)
+                    _gap_windows(swap_states + recompute_states), warmup)
             swapped_ids = {state.block_id for state in swap_states}
             kept_states = [state for state in kept_states
                            if state.block_id not in swapped_ids]
@@ -491,30 +614,47 @@ class UnifiedExecutionPolicy(SwapExecutionPolicy):
             "decisions": decisions,
         }
 
-    def directive_after_access(self, state: "BlockState") -> Optional[EvictDirective]:
-        return _directive_for_access(self._triggers, state)
 
-    def directives_at_iteration_end(
-            self, resident: Iterable["BlockState"]) -> List[EvictDirective]:
-        return _directives_for_iteration_end(self._triggers, resident)
-
-
-class SwapAdvisorExecutionPolicy(SwapExecutionPolicy):
+class SwapAdvisorPolicy(_TriggeredPolicy):
     """Size-ranked swapping (SwapAdvisor-style): largest blocks, timing-blind.
 
-    The ``top_k`` largest observed blocks are evicted after the access that
-    opens their largest idle interval, with a prefetch against that interval
-    — whatever transfer time the interval cannot hide becomes a *measured*
-    stall, mirroring the analytic estimator's charged overhead.
+    The ``top_k`` largest blocks of at least ``min_block_bytes`` are swapped
+    regardless of their access timing.  Predicting charges whatever transfer
+    time a block's largest access interval cannot hide; executing evicts
+    each block after the access that opens its largest idle interval, with a
+    prefetch against that interval, so the same unhidden time becomes a
+    *measured* stall.
     """
 
     name = "swap_advisor"
+    modes = (PREDICT, EXECUTE)
 
-    def __init__(self, top_k: int = 5, min_block_bytes: int = 32 * MIB):
-        super().__init__()
+    def __init__(self, top_k: int = 5, min_block_bytes: int = 32 * MIB, **session):
+        super().__init__(**session)
         self.top_k = int(top_k)
         self.min_block_bytes = int(min_block_bytes)
-        self._triggers: Dict[int, _Trigger] = {}
+
+    def _estimate(self, trace: MemoryTrace, bandwidths: BandwidthConfig
+                  ) -> Tuple[PolicySummary, int, float, float]:
+        sizes: Dict[int, int] = {}
+        for lifetime in trace.lifetimes:
+            sizes[lifetime.block_id] = max(sizes.get(lifetime.block_id, 0), lifetime.size)
+        largest_interval: Dict[int, int] = {}
+        for interval in compute_access_intervals(trace):
+            largest_interval[interval.block_id] = max(
+                largest_interval.get(interval.block_id, 0), interval.interval_ns)
+        chosen = sorted(
+            ((block_id, size) for block_id, size in sizes.items()
+             if size >= self.min_block_bytes),
+            key=lambda item: item[1], reverse=True,
+        )[:self.top_k]
+        overhead = 0.0
+        for block_id, size in chosen:
+            round_trip = swap_round_trip_ns(size, bandwidths)
+            overhead += max(0.0, round_trip - largest_interval.get(block_id, 0))
+        return _swap_estimate("swap_advisor_style", len(chosen),
+                              sum(size for _, size in chosen),
+                              trace.peak_live_bytes(), overhead)
 
     def plan(self, warmup: "WarmupObservations", bandwidths: BandwidthConfig) -> None:
         eligible = [state for state in warmup.blocks
@@ -525,10 +665,7 @@ class SwapAdvisorExecutionPolicy(SwapExecutionPolicy):
         overhead = sum(
             max(0.0, swap_round_trip_ns(state.size, bandwidths) - state.best_gap_ns)
             for state in chosen)
-        peak_after = _predict_peak_after(
-            [(state.best_gap_phase_ns,
-              state.best_gap_phase_ns + state.best_gap_ns, state.size)
-             for state in chosen], warmup)
+        peak_after = _predict_peak_after(_gap_windows(chosen), warmup)
         savings = max(0, warmup.peak_resident_bytes - peak_after)
         self.predicted = {
             "num_selected": len(chosen),
@@ -539,39 +676,53 @@ class SwapAdvisorExecutionPolicy(SwapExecutionPolicy):
             "total_overhead_ns": overhead,
         }
 
-    def directive_after_access(self, state: "BlockState") -> Optional[EvictDirective]:
-        return _directive_for_access(self._triggers, state)
 
-    def directives_at_iteration_end(
-            self, resident: Iterable["BlockState"]) -> List[EvictDirective]:
-        return _directives_for_iteration_end(self._triggers, resident)
-
-
-class ZeroOffloadExecutionPolicy(SwapExecutionPolicy):
+class ZeroOffloadPolicy(MemoryPolicy):
     """Offload optimizer state and gradients between iterations (ZeRO-style).
 
-    At the end of every iteration all resident optimizer-state and
-    parameter-gradient blocks are evicted; each comes back through a demand
-    fetch (a synchronous stall) on its next access.  On a data-parallel run
-    each rank only moves its ``1/world_size`` partition per direction while
-    the full block still leaves the device footprint — the executable twin
-    of the rank-aware analytic estimator.
+    The offloaded bytes leave the device footprint and every iteration pays
+    one round trip for them: the overhead ZeRO-Offload hides behind CPU
+    compute but a synchronous implementation exposes.  Executing evicts every
+    resident optimizer-state and parameter-gradient block at the end of each
+    iteration; each comes back through a demand fetch (a synchronous stall)
+    on its next access.  With ``world_size`` replicas each rank moves only
+    its ``1/world_size`` partition per direction while the full block still
+    leaves its device, so the transfer time shrinks with the replica count
+    instead of being a flat, cluster-size-oblivious discount.
     """
 
     name = "zero_offload"
+    modes = (PREDICT, EXECUTE)
 
     OFFLOAD_CATEGORIES = (MemoryCategory.OPTIMIZER_STATE,
                           MemoryCategory.PARAMETER_GRADIENT)
 
-    def __init__(self, world_size: int = 1):
-        super().__init__()
-        self.world_size = max(1, int(world_size))
+    def _partition_bytes(self, nbytes: int) -> int:
+        """One rank's share of ``nbytes`` (ceil), the per-direction transfer."""
+        return -(-nbytes // self.world_size)
+
+    def _estimate(self, trace: MemoryTrace, bandwidths: BandwidthConfig
+                  ) -> Tuple[PolicySummary, int, float, float]:
+        offloaded: Dict[int, int] = {}
+        for lifetime in trace.lifetimes:
+            if lifetime.category in self.OFFLOAD_CATEGORIES:
+                offloaded[lifetime.block_id] = max(offloaded.get(lifetime.block_id, 0),
+                                                   lifetime.size)
+        swapped = sum(offloaded.values())
+        partition = self._partition_bytes(swapped)
+        iterations = max(1, len(trace.iteration_marks))
+        extra = ({"world_size": self.world_size, "partition_bytes": partition}
+                 if self.world_size > 1 else {})
+        return _swap_estimate("zero_offload_style", len(offloaded), swapped,
+                              trace.peak_live_bytes(),
+                              iterations * swap_round_trip_ns(partition, bandwidths),
+                              **extra)
 
     def plan(self, warmup: "WarmupObservations", bandwidths: BandwidthConfig) -> None:
         offloadable = [state for state in warmup.blocks
                        if state.category in self.OFFLOAD_CATEGORIES]
         swapped = sum(state.size for state in offloadable)
-        partition = -(-swapped // self.world_size) if swapped else 0
+        partition = self._partition_bytes(swapped)
         # Each block is absent from the end of the iteration until its first
         # access in the next one (the synchronous demand fetch).
         duration = warmup.iteration_duration_ns
@@ -592,16 +743,12 @@ class ZeroOffloadExecutionPolicy(SwapExecutionPolicy):
 
     def directives_at_iteration_end(
             self, resident: Iterable["BlockState"]) -> List[EvictDirective]:
-        directives = []
-        for state in resident:
-            if state.category in self.OFFLOAD_CATEGORIES:
-                partition = -(-state.size // self.world_size)
-                directives.append(EvictDirective(block_id=state.block_id,
-                                                 copy_bytes=partition))
-        return directives
+        return [EvictDirective(block_id=state.block_id,
+                               copy_bytes=self._partition_bytes(state.size))
+                for state in resident if state.category in self.OFFLOAD_CATEGORIES]
 
 
-class LruExecutionPolicy(SwapExecutionPolicy):
+class LruExecutionPolicy(MemoryPolicy):
     """Online budget policy: evict least-recently-accessed blocks on pressure.
 
     The budget defaults to ``budget_fraction`` of the warm-up peak (so the
@@ -611,11 +758,12 @@ class LruExecutionPolicy(SwapExecutionPolicy):
     """
 
     name = "lru"
+    modes = (EXECUTE,)
 
     def __init__(self, budget_bytes: Optional[int] = None,
                  budget_fraction: float = 0.7,
-                 min_block_bytes: int = 1 * MIB):
-        super().__init__()
+                 min_block_bytes: int = 1 * MIB, **session):
+        super().__init__(**session)
         self.budget_bytes = budget_bytes if budget_bytes is None else int(budget_bytes)
         self.budget_fraction = float(budget_fraction)
         self.min_block_bytes = int(min_block_bytes)
@@ -654,34 +802,77 @@ class LruExecutionPolicy(SwapExecutionPolicy):
         return directives
 
 
-#: Factories for every executable policy, keyed by the ``--swap`` axis value.
-EXECUTION_POLICIES: Dict[str, Callable[..., SwapExecutionPolicy]] = {
-    PlannerExecutionPolicy.name: PlannerExecutionPolicy,
-    SwapAdvisorExecutionPolicy.name: SwapAdvisorExecutionPolicy,
-    ZeroOffloadExecutionPolicy.name: ZeroOffloadExecutionPolicy,
-    LruExecutionPolicy.name: LruExecutionPolicy,
-    UnifiedExecutionPolicy.name: UnifiedExecutionPolicy,
-}
+class RecomputePolicy(MemoryPolicy):
+    """Gradient checkpointing: discard activations, re-run forward segments."""
 
-#: The value of the ``--swap`` axis that disables the engine entirely.
-SWAP_OFF = "off"
+    name = "recompute"
+    modes = (PREDICT,)
+
+    def __init__(self, keep_every: int = 2, **session):
+        super().__init__(**session)
+        self.keep_every = int(keep_every)
+
+    def _estimate(self, trace: MemoryTrace, bandwidths: BandwidthConfig
+                  ) -> Tuple[PolicySummary, int, float, float]:
+        plan = estimate_recompute_plan(trace, keep_every=self.keep_every)
+        return (plan.summary(), plan.savings_bytes, plan.savings_fraction,
+                plan.recompute_time_overhead_ns)
 
 
-def available_execution_policies() -> Tuple[str, ...]:
-    """Names of every executable swap policy (``off`` excluded)."""
-    return tuple(EXECUTION_POLICIES)
+class PruningPolicy(MemoryPolicy):
+    """Weight pruning: remove a fraction of the parameter bytes."""
+
+    name = "pruning"
+    modes = (PREDICT,)
+
+    def __init__(self, sparsity: float = 0.9, **session):
+        super().__init__(**session)
+        self.sparsity = float(sparsity)
+
+    def _estimate(self, trace: MemoryTrace, bandwidths: BandwidthConfig
+                  ) -> Tuple[PolicySummary, int, float, float]:
+        return _compression_estimate(estimate_pruning(trace, sparsity=self.sparsity))
 
 
-def get_execution_policy(name: str, **kwargs) -> SwapExecutionPolicy:
-    """Instantiate an executable policy by registry name.
+class QuantizationPolicy(MemoryPolicy):
+    """Weight quantization: shrink parameter bytes to ``bits`` per element."""
 
-    Raises ``ValueError`` with the list of known policies when unknown.
+    name = "quantization"
+    modes = (PREDICT,)
+
+    def __init__(self, bits: int = 8, **session):
+        super().__init__(**session)
+        self.bits = int(bits)
+
+    def _estimate(self, trace: MemoryTrace, bandwidths: BandwidthConfig
+                  ) -> Tuple[PolicySummary, int, float, float]:
+        return _compression_estimate(estimate_quantization(trace, bits=self.bits))
+
+
+#: Every registered policy by name, in presentation order.
+POLICIES: Dict[str, Type[MemoryPolicy]] = {policy.name: policy for policy in (
+    NoPolicy, PlannerPolicy, SwapAdvisorPolicy, ZeroOffloadPolicy,
+    RecomputePolicy, PruningPolicy, QuantizationPolicy,
+    LruExecutionPolicy, UnifiedExecutionPolicy)}
+
+
+def policy_names(mode: Optional[str] = None) -> Tuple[str, ...]:
+    """Registered names in registry order, only those implementing ``mode`` if given."""
+    return tuple(name for name, policy in POLICIES.items()
+                 if mode is None or mode in policy.modes)
+
+
+def get_policy(name: str, mode: Optional[str] = None, **kwargs) -> MemoryPolicy:
+    """Build a registered policy by name.
+
+    ``kwargs`` are the policy's own parameters and the session keywords
+    ``world_size`` and ``capacity_bytes``.  Raises
+    :class:`~repro.errors.ConfigurationError` listing the known names when
+    ``name`` is not registered or does not implement ``mode``.
     """
-    try:
-        factory = EXECUTION_POLICIES[name]
-    except KeyError:
-        known = ", ".join(available_execution_policies())
-        raise ValueError(
-            f"unknown swap execution policy '{name}'; known policies: {known}"
-        ) from None
-    return factory(**kwargs)
+    policy = POLICIES.get(name)
+    if policy is None or (mode is not None and mode not in policy.modes):
+        noun = "swap mode" if mode == EXECUTE else "swap policy"
+        raise ConfigurationError(
+            f"unknown {noun} '{name}'; known: {', '.join(policy_names(mode))}")
+    return policy(**kwargs)

@@ -1,15 +1,10 @@
-"""Tests for the swapping/recompute/compression baseline policies."""
+"""Tests for the memory-policy registry and the swapping/recompute/compression predictions."""
 
 import pytest
 
-from repro.baselines import (
-    estimate_pruning,
-    estimate_quantization,
-    estimate_recompute_plan,
-    swap_advisor_style_policy,
-    zero_offload_style_policy,
-)
+from repro.baselines import estimate_pruning, estimate_quantization, estimate_recompute_plan
 from repro.core.events import MemoryCategory
+from repro.swap import EXECUTE, PREDICT, POLICIES, get_policy, policy_names
 from repro.units import MIB, s_to_ns
 
 from tests.helpers import build_trace
@@ -40,34 +35,35 @@ def make_training_like_trace():
 
 def test_swap_advisor_style_selects_largest_blocks():
     trace = make_training_like_trace()
-    result = swap_advisor_style_policy(trace, top_k=1)
-    assert result.selected_block_ids == [10]
-    assert result.swapped_bytes == 512 * MIB
-    assert result.savings_bytes > 0
-    assert result.summary()["name"] == "swap_advisor_style"
+    result = get_policy("swap_advisor", top_k=1).predict(trace)
+    # block 10 is the only 512 MiB block
+    assert result["num_blocks"] == 1
+    assert result["swapped_bytes"] == 512 * MIB
+    assert result["savings_bytes"] > 0
+    assert result["name"] == "swap_advisor_style"
 
 
 def test_swap_advisor_style_charges_overhead_when_interval_too_short():
     trace = make_training_like_trace()
-    generous = swap_advisor_style_policy(trace, top_k=1)
+    generous = get_policy("swap_advisor", top_k=1).predict(trace)
     # The 512 MiB activation is idle ~0.5 s, which hides its ~0.16 s round trip.
-    assert generous.overhead_ns == pytest.approx(0.0)
+    assert generous["overhead_ns"] == pytest.approx(0.0)
 
 
 def test_zero_offload_style_offloads_optimizer_state_and_gradients():
     trace = make_training_like_trace()
-    result = zero_offload_style_policy(trace)
-    assert result.swapped_bytes == 16 * MIB
-    assert result.overhead_ns > 0
-    assert result.savings_fraction < 0.1      # tiny compared to activations
+    result = get_policy("zero_offload").predict(trace)
+    assert result["swapped_bytes"] == 16 * MIB
+    assert result["overhead_ns"] > 0
+    assert result["savings_fraction"] < 0.1      # tiny compared to activations
 
 
 def test_policies_handle_traces_without_candidates(simple_trace):
-    result = swap_advisor_style_policy(simple_trace)
-    assert result.swapped_bytes == 0
-    assert result.savings_bytes == 0
-    zero = zero_offload_style_policy(simple_trace)
-    assert zero.swapped_bytes == 0
+    result = get_policy("swap_advisor").predict(simple_trace)
+    assert result["swapped_bytes"] == 0
+    assert result["savings_bytes"] == 0
+    zero = get_policy("zero_offload").predict(simple_trace)
+    assert zero["swapped_bytes"] == 0
 
 
 def test_recompute_plan_discards_activation_bytes():
@@ -167,9 +163,9 @@ def test_recompute_overhead_sums_recorded_times_of_discarded_blocks():
     assert plan.recompute_time_overhead_ns > 0
 
 
-def test_recompute_overhead_falls_back_without_write_timing():
-    """A trace with no usable kernel timing keeps the legacy first-order
-    fraction-of-iteration model."""
+def test_recompute_overhead_is_zero_without_write_timing():
+    """A trace that records no producer (no write events) charges no
+    recompute time: the overhead is only ever recorded producer time."""
     events = []
     marks = []
     for iteration in range(3):
@@ -182,10 +178,9 @@ def test_recompute_overhead_falls_back_without_write_timing():
                        MemoryCategory.ACTIVATION, iteration))
         marks.append((base, base + 900_000_000))
     trace = build_trace(events, iteration_marks=marks, end_ns=4_000_000_000)
-    plan = estimate_recompute_plan(trace, keep_every=2,
-                                   forward_fraction_of_iteration=0.33)
-    expected = int(900_000_000 * 0.33 * (1.0 - 1.0 / 2))
-    assert plan.recompute_time_overhead_ns == expected
+    plan = estimate_recompute_plan(trace, keep_every=2)
+    assert plan.activation_bytes_discarded > 0
+    assert plan.recompute_time_overhead_ns == 0
 
 
 def test_recompute_overhead_uses_recorded_times_on_training_trace():
@@ -224,52 +219,82 @@ def test_quantization_estimate():
 # -- the policy registry --------------------------------------------------------------
 
 
-def test_policy_registry_names_and_lookup():
-    from repro.baselines import available_policies, get_policy
+@pytest.mark.parametrize("name", list(POLICIES))
+def test_policy_registry(name):
+    """Every registered policy is found by name, predicts a normalized summary
+    if it predicts, and runs in a swap-on session if it executes; both sweep
+    axes are exactly the registry's names per mode."""
+    from repro.errors import ConfigurationError
+    from repro.experiments.sweep import SWAP_EXECUTION_MODES, SWAP_POLICIES
+    from repro.train.session import TrainingRunConfig, run_training_session
 
-    names = available_policies()
-    assert names[0] == "none"
-    assert {"planner", "swap_advisor", "zero_offload", "recompute", "pruning",
-            "quantization"} <= set(names)
-    for name in names:
-        assert get_policy(name).name == name
-    with pytest.raises(ValueError, match="unknown swap policy"):
+    assert SWAP_POLICIES == ("none", "planner", "swap_advisor", "zero_offload",
+                             "recompute", "pruning", "quantization")
+    assert SWAP_EXECUTION_MODES == ("off", "planner", "swap_advisor",
+                                    "zero_offload", "lru", "unified")
+    with pytest.raises(ConfigurationError, match="unknown swap policy 'teleport'"):
         get_policy("teleport")
 
-
-def test_none_policy_evaluates_to_none():
-    from repro.baselines import get_policy
-
-    assert get_policy("none").evaluate(make_training_like_trace()) is None
-
-
-def test_every_policy_summary_is_normalized():
-    from repro.baselines import available_policies, get_policy
+    policy = get_policy(name)
+    assert policy.name == name
+    assert (PREDICT in policy.modes) == (name in SWAP_POLICIES)
+    assert (EXECUTE in policy.modes) == (name in SWAP_EXECUTION_MODES)
 
     trace = make_training_like_trace()
-    for name in available_policies():
-        summary = get_policy(name).evaluate(trace)
-        if name == "none":
-            continue
+    if PREDICT not in policy.modes:
+        with pytest.raises(ConfigurationError, match="no offline prediction"):
+            policy.predict(trace)
+    elif name != "none":
+        summary = get_policy(name, PREDICT).predict(trace)
         assert summary["policy"] == name
         assert summary["savings_bytes"] >= 0
         assert 0.0 <= summary["savings_fraction"] <= 1.0
         assert summary["overhead_ns"] >= 0.0
 
+    config = TrainingRunConfig(model="mlp", dataset="two_cluster", batch_size=512,
+                               iterations=5, swap=name)
+    if EXECUTE in policy.modes:
+        assert get_policy(name, EXECUTE).name == name
+        assert run_training_session(config).swap_execution["policy"] == name
+    else:
+        with pytest.raises(ConfigurationError, match="unknown swap mode"):
+            run_training_session(config)
+
+
+def test_none_policy_evaluates_to_none():
+    assert get_policy("none").predict(make_training_like_trace()) is None
+
 
 def test_policy_summaries_match_underlying_estimators():
-    from repro.baselines import get_policy
-
     trace = make_training_like_trace()
-    advisor = get_policy("swap_advisor").evaluate(trace)
-    direct = swap_advisor_style_policy(trace)
-    assert advisor["savings_bytes"] == direct.savings_bytes
+    advisor = get_policy("swap_advisor").predict(trace)
+    # the top-5 blocks of at least 32 MiB: only the 512 MiB activation
+    assert advisor["savings_bytes"] == 512 * MIB
 
-    recompute = get_policy("recompute").evaluate(trace)
+    recompute = get_policy("recompute").predict(trace)
     plan = estimate_recompute_plan(trace, keep_every=2)
     assert recompute["savings_bytes"] == plan.savings_bytes
 
-    pruning = get_policy("pruning").evaluate(trace)
+    pruning = get_policy("pruning").predict(trace)
     estimate = estimate_pruning(trace, sparsity=0.9)
     assert pruning["savings_bytes"] == (estimate.peak_bytes_before
                                         - estimate.estimated_peak_bytes_after)
+
+
+@pytest.fixture(scope="module")
+def two_rank_session():
+    from repro.train.session import TrainingRunConfig, run_training_session
+
+    return run_training_session(TrainingRunConfig(
+        model="mlp", dataset="two_cluster", batch_size=64, iterations=3,
+        n_devices=2))
+
+
+@pytest.mark.parametrize("name", policy_names(PREDICT))
+def test_merged_trace_predicts_like_its_rank0_slice(two_rank_session, name):
+    """A policy predicts per device: the merged 2-rank trace and its rank-0
+    slice give the same summary (recompute and pruning used to count both
+    ranks, and recompute fell back to a fraction-of-iteration guess)."""
+    policy = get_policy(name, PREDICT, world_size=2)
+    trace = two_rank_session.trace
+    assert policy.predict(trace) == policy.predict(trace.for_rank(0))

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.baselines.swapping import zero_offload_style_policy
 from repro.core.events import MemoryCategory
 from repro.core.trace import merge_rank_traces
 from repro.errors import ConfigurationError
+from repro.swap import PREDICT, get_policy
 from repro.train import TrainingRunConfig, run_training_session, shard_batch
 
 
@@ -163,13 +163,13 @@ def test_policies_report_per_device_numbers_on_multi_rank_scenarios():
 def test_zero_offload_partitions_transfers_across_ranks():
     single = run_training_session(_config(1, batch_size=64))
     double = run_training_session(_config(2, batch_size=64))
-    flat = zero_offload_style_policy(single.trace)
-    sharded = zero_offload_style_policy(double.trace)
+    flat = get_policy("zero_offload", PREDICT).predict(single.trace)
+    sharded = get_policy("zero_offload", PREDICT,
+                         world_size=double.n_devices).predict(double.trace)
     # Each rank still frees its full local optimizer-state/gradient bytes...
-    assert sharded.swapped_bytes == flat.swapped_bytes
-    assert sharded.world_size == 2
-    assert sharded.partition_bytes == -(-flat.swapped_bytes // 2)
+    assert sharded["swapped_bytes"] == flat["swapped_bytes"]
+    assert sharded["world_size"] == 2
+    assert sharded["partition_bytes"] == -(-flat["swapped_bytes"] // 2)
     # ...but only moves its 1/N partition per iteration.
-    assert sharded.overhead_ns < flat.overhead_ns
-    assert sharded.summary()["world_size"] == 2
-    assert "world_size" not in flat.summary()
+    assert sharded["overhead_ns"] < flat["overhead_ns"]
+    assert "world_size" not in flat

@@ -37,7 +37,7 @@ import pytest
 from repro.core.events import MemoryCategory
 from repro.core.swap import BandwidthConfig, swap_round_trip_ns
 from repro.swap.executor import BlockState, WarmupObservations
-from repro.swap.policies import PlannerExecutionPolicy, UnifiedExecutionPolicy
+from repro.swap.policies import PlannerPolicy, UnifiedExecutionPolicy
 from repro.units import MIB
 
 BANDWIDTHS = BandwidthConfig.from_paper()
@@ -173,7 +173,7 @@ def test_disable_recompute_degenerates_to_pure_planner():
     for warmup in draws(seed=5):
         unified = UnifiedExecutionPolicy(enable_recompute=False)
         unified_predicted = plan(unified, warmup)
-        planner = PlannerExecutionPolicy(min_candidate_bytes=MIN_CANDIDATE)
+        planner = PlannerPolicy(min_candidate_bytes=MIN_CANDIDATE)
         planner_predicted = plan(planner, warmup)
         swapped = {d["block_id"] for d in unified_predicted["decisions"]
                    if d["mechanism"] == "swap"}
@@ -203,7 +203,7 @@ def test_disable_swap_yields_recompute_only_plan():
 def test_unified_savings_dominate_pure_swap_plan():
     for warmup in draws(n=40, seed=7):
         unified = plan(UnifiedExecutionPolicy(), warmup)
-        planner = plan(PlannerExecutionPolicy(min_candidate_bytes=MIN_CANDIDATE),
+        planner = plan(PlannerPolicy(min_candidate_bytes=MIN_CANDIDATE),
                        warmup)
         assert unified["savings_bytes"] >= planner["savings_bytes"]
 

@@ -38,12 +38,7 @@ from repro.device.hooks import CountingListener
 from repro.errors import ConfigurationError
 from repro.experiments.configs import paper_mlp_config
 from repro.experiments.sweep import SweepGrid, run_scenario
-from repro.swap import (
-    EXECUTION_POLICIES,
-    SwapExecutor,
-    available_execution_policies,
-    get_execution_policy,
-)
+from repro.swap import SwapExecutor, get_policy
 from repro.train.session import TrainingRunConfig, run_training_session
 
 from tests.helpers import build_trace
@@ -126,15 +121,6 @@ def pure_recompute_result():
 # -- registry / wiring -----------------------------------------------------------------
 
 
-def test_execution_policy_registry():
-    assert available_execution_policies() == ("planner", "swap_advisor",
-                                              "zero_offload", "lru", "unified")
-    for name in EXECUTION_POLICIES:
-        assert get_execution_policy(name).name == name
-    with pytest.raises(ValueError, match="unknown swap execution policy"):
-        get_execution_policy("nope")
-
-
 def test_unknown_swap_mode_rejected_by_session():
     config = TrainingRunConfig(**{**SMALL_SWAPPED, "swap": "bogus"})
     with pytest.raises(ConfigurationError, match="unknown swap mode"):
@@ -147,15 +133,6 @@ def test_only_one_executor_per_device():
     device.attach_swap_executor(SwapExecutor(device, "lru"))
     with pytest.raises(ConfigurationError):
         device.attach_swap_executor(SwapExecutor(device, "lru"))
-
-
-def test_baseline_policies_expose_executable_twins():
-    from repro.baselines.policy import get_policy
-    assert get_policy("planner").make_executable().name == "planner"
-    assert get_policy("swap_advisor").make_executable().name == "swap_advisor"
-    assert get_policy("zero_offload").make_executable(world_size=4).world_size == 4
-    with pytest.raises(ValueError, match="analysis-only"):
-        get_policy("recompute").make_executable()
 
 
 def test_counting_listener_counts_swap_events():
@@ -480,8 +457,7 @@ def test_counting_listener_counts_recompute_events():
 
 
 def test_unified_policy_accepts_planning_kwargs():
-    policy = get_execution_policy("unified", capacity_bytes=123,
-                                  enable_recompute=False)
+    policy = get_policy("unified", capacity_bytes=123, enable_recompute=False)
     assert policy.name == "unified"
     assert policy.capacity_bytes == 123
     assert policy.enable_swap and not policy.enable_recompute
